@@ -5,16 +5,20 @@ in fixed-size chunks, evaluates per-factor matrix products vectorized over
 the chunk, and classifies the resulting spectrum vectors against a region
 family over a T-grid.
 
-Every word is decoded from its index in the depth-first lexicographic order
-and evaluated from scratch, so per-item results carry no cross-item float
-state: counts are bit-identical for any chunking and any number of worker
-shards, and shard merges are plain integer sums.
+Every word is addressed by its index in the depth-first lexicographic order,
+and its (P, S) is the left fold of its letters through one renormalized step
+(_extend): the same floats in the same order whichever chunk or shard
+computes its prefixes, whether word by word (evaluate_chunk) or down the
+prefix tree (prefix_walk).  Counts are therefore bit-identical for any
+chunking and any number of worker shards, and shard merges are plain
+integer sums.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -22,10 +26,10 @@ import numpy as np
 
 from . import algebra, regions
 from .errors import SpectraCensusError
-from .group import CapacityExceeded, stratum_size, total_words, word_budget
+from .group import CapacityExceeded, _check_budget, stratum_size  # noqa: F401
 from .reps import PingPongFailure, Representation, generator_arrays, validate_representation
 
-CHUNK = 1 << 16
+CHUNK = 1 << 15
 LN2 = math.log(2.0)
 
 KIND_JORDAN = "jordan-classes"
@@ -37,13 +41,18 @@ class InsufficientData(SpectraCensusError):
     """Nothing was enumerated; horizon is undefined."""
 
 
+class WorkerCrashed(SpectraCensusError):
+    """A shard worker process died before returning its partial counts."""
+
+
 @dataclass(frozen=True)
 class CountSeries:
     """Counts over a T-grid with a completeness horizon.
 
-    Counts beyond t_trust are reported but untrusted: a finite enumeration
-    can only certify completeness up to the horizon derived from the
-    empirical minimal stretch c_min_hat.
+    Counts beyond t_trust are reported but untrusted.  The horizon is
+    empirical, not certified: it is derived from c_min_hat, the minimal
+    stretch per letter over the enumerated items, and nothing bounds the
+    stretch of the longer words the enumeration did not reach.
     """
 
     t_grid: Tuple[float, ...]
@@ -282,33 +291,69 @@ def periods(letters: np.ndarray) -> np.ndarray:
     return out
 
 
+def _extend(P: np.ndarray, S: np.ndarray, B: np.ndarray, logB: np.ndarray):
+    """One left-fold step: (P, S) -> renormalized (P @ B, S + logB).
+
+    Renormalization divides by an exact power of two exactly as the scalar
+    path does.  Every evaluation path takes its steps through here, so a
+    word's (P, S) is the same fold of the same floats whichever path ran it.
+    """
+    a00, a01 = P[:, 0, 0], P[:, 0, 1]
+    a10, a11 = P[:, 1, 0], P[:, 1, 1]
+    b00, b01 = B[:, 0, 0], B[:, 0, 1]
+    b10, b11 = B[:, 1, 0], B[:, 1, 1]
+    Q = np.empty_like(P)
+    Q[:, 0, 0] = a00 * b00 + a01 * b10
+    Q[:, 0, 1] = a00 * b01 + a01 * b11
+    Q[:, 1, 0] = a10 * b00 + a11 * b10
+    Q[:, 1, 1] = a10 * b01 + a11 * b11
+    S = S + logB
+    A = np.abs(Q)
+    mx = np.maximum(np.maximum(A[:, 0, 0], A[:, 0, 1]), np.maximum(A[:, 1, 0], A[:, 1, 1]))
+    _, e = np.frexp(mx)
+    e = np.where((mx >= 0.5) & (mx <= 2.0), 0, e).astype(np.int32)
+    Q /= np.ldexp(1.0, e)[:, None, None]
+    S += e * LN2
+    return Q, S
+
+
 def evaluate_chunk(letters: np.ndarray, images: np.ndarray, logs: np.ndarray):
     """Renormalized products of generator images along each row.
 
-    Returns (entries (m,2,2), log_scales (m,)).  The per-step renormalization
-    divides by an exact power of two exactly as the scalar path does.
+    Returns (entries (m,2,2), log_scales (m,)).
     """
-    m, n = letters.shape
-    P = images[letters[:, 0]].copy()
-    S = logs[letters[:, 0]].copy()
-    for j in range(1, n):
-        B = images[letters[:, j]]
-        a00, a01 = P[:, 0, 0], P[:, 0, 1]
-        a10, a11 = P[:, 1, 0], P[:, 1, 1]
-        b00, b01 = B[:, 0, 0], B[:, 0, 1]
-        b10, b11 = B[:, 1, 0], B[:, 1, 1]
-        Q = np.empty_like(P)
-        Q[:, 0, 0] = a00 * b00 + a01 * b10
-        Q[:, 0, 1] = a00 * b01 + a01 * b11
-        Q[:, 1, 0] = a10 * b00 + a11 * b10
-        Q[:, 1, 1] = a10 * b01 + a11 * b11
-        P = Q
-        S += logs[letters[:, j]]
-        mx = np.abs(P).max(axis=(1, 2))
-        _, e = np.frexp(mx)
-        e = np.where((mx >= 0.5) & (mx <= 2.0), 0, e).astype(np.int32)
-        P /= np.ldexp(1.0, e)[:, None, None]
-        S += e * LN2
+    P = images[letters[:, 0]]
+    S = logs[letters[:, 0]]
+    for j in range(1, letters.shape[1]):
+        P, S = _extend(P, S, images[letters[:, j]], logs[letters[:, j]])
+    return P, S
+
+
+def prefix_walk(k: int, n: int, start: int, stop: int, images: np.ndarray, logs: np.ndarray):
+    """evaluate_chunk(decode_words(k, n, start, stop), images, logs), folded
+    down the prefix tree instead of word by word.
+
+    At depth j the ancestors of the rows form the contiguous index range
+    [start // b^(n-j), (stop-1) // b^(n-j) + 1) of stratum j, with b = 2k-1.
+    Depth 1 is the generator images; each deeper level extends the level
+    above by one _extend step per node, so a word costs about b/(b-1)
+    products instead of n-1, and its (P, S) is bit-identical to
+    evaluate_chunk's.
+    """
+    table = _letter_table(k)
+    base = 2 * k - 1
+    pw = base ** (n - 1)
+    lo = start // pw
+    last = np.arange(lo, (stop - 1) // pw + 1)
+    P, S = images[last], logs[last]
+    for _ in range(1, n):
+        pw //= base
+        child_lo = start // pw
+        parent, digit = np.divmod(np.arange(child_lo, (stop - 1) // pw + 1), base)
+        parent -= lo
+        last = table[last[parent], digit]
+        P, S = _extend(P[parent], S[parent], images[last], logs[last])
+        lo = child_lo
     return P, S
 
 
@@ -358,7 +403,7 @@ def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=Non
     shard, when given, is a dict {n: (start, stop)} of index ranges per
     stratum; the default covers everything.
     """
-    _budget_gate(rep.k, L_max, budget)
+    _check_budget(rep.k, L_max, budget)
     images = _factor_images(rep)
     for n in range(1, L_max + 1):
         total = stratum_size(rep.k, n)
@@ -368,7 +413,7 @@ def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=Non
             letters = decode_words(rep.k, n, lo, hi)
             mu = np.empty((letters.shape[0], rep.d))
             for i, (mats, logs) in enumerate(images):
-                P, S = evaluate_chunk(letters, mats, logs)
+                P, S = prefix_walk(rep.k, n, lo, hi, mats, logs)
                 mu[:, i] = cartan_chunk(P, S)
             yield letters, mu
 
@@ -376,7 +421,7 @@ def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=Non
 def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
     """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
     canonical necklaces of core length 1..L_max."""
-    _budget_gate(rep.k, L_max, budget)
+    _check_budget(rep.k, L_max, budget)
     images = _factor_images(rep)
     any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
     for n in range(1, L_max + 1):
@@ -400,15 +445,6 @@ def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=No
                 if h is not None:
                     holos[:, i] = h
             yield letters, lam, holos, periods(letters) == n
-
-
-def _budget_gate(k: int, L_max: int, budget):
-    limit = word_budget(budget)
-    projected = total_words(k, L_max)
-    if projected > limit:
-        raise CapacityExceeded(
-            f"census up to length {L_max} at rank {k} needs {projected} words, budget is {limit}"
-        )
 
 
 def _gate_validated(rep: Representation, force: bool):
@@ -528,8 +564,11 @@ def _run_sharded(task: Callable, rep, L_max: int, workers: int) -> _Partial:
     shards = _shards(rep.k, L_max, workers)
     if len(shards) == 1:
         return task(shards[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(task, shards))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(task, shards))
+    except BrokenProcessPool as exc:
+        raise WorkerCrashed(f"a census worker process died: {exc}") from exc
     return _merge(parts)
 
 
@@ -710,9 +749,12 @@ def completeness_horizon(
 ) -> Tuple[float, float]:
     """(t_trust, c_min_hat) from the empirical minimal stretch per word length.
 
-    The horizon backs off one full c_min_hat below c_min_hat * (L_max - 1):
-    anything the enumeration missed is empirically longer than
-    c_min_hat * L_max, so counts below the horizon are complete.
+    The horizon backs off one full c_min_hat below c_min_hat * (L_max - 1).
+    If every word the enumeration missed stretches at least c_min_hat per
+    letter, as the enumerated ones do, it is longer than c_min_hat * L_max
+    and counts below the horizon are complete.  That premise is empirical:
+    c_min_hat is a minimum over the enumerated items only, so the horizon
+    is an empirical estimate, not a certificate.
     """
     _gate_validated(rep, force)
     if L_max < 1:

@@ -35,6 +35,10 @@ class IoError(SpectraCensusError):
     """Artifact could not be written."""
 
 
+class Interrupted(SpectraCensusError):
+    """The run was stopped by an interrupt (SIGINT) before it finished."""
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -643,6 +647,9 @@ def main(argv: Optional[list] = None) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         _error_record(out, SchemaError(f"bad config: {exc!r}"))
         return 1
+    except KeyboardInterrupt:
+        _error_record(out, Interrupted(f"{args.command} interrupted"))
+        return 130
 
 
 if __name__ == "__main__":

@@ -260,7 +260,8 @@ def growth_indicator_ladder(
     deltas: List[float] = []
     for e in eps:
         inside = aperture_vals < e if strict else aperture_vals <= e
-        kept = np.sort(norms[inside])
+        kept = norms[inside]
+        kept.sort()  # in place: a second copy of the selection set the peak RSS
         counts = np.searchsorted(kept, grid, side="right")
         if counts[-1] == 0:
             deltas.append(NEG_INF)

@@ -17,6 +17,7 @@ from .errors import SpectraCensusError
 
 ENV_BUDGET = "SPECTRA_CENSUS_MAX_WORDS"
 DEFAULT_BUDGET = 100_000_000
+INT64_MAX = 2**63 - 1
 
 
 class CapacityExceeded(SpectraCensusError):
@@ -122,12 +123,19 @@ def word_budget(budget: Optional[int] = None) -> int:
 
 
 def _check_budget(k: int, max_len: int, budget: Optional[int]):
+    """Raise CapacityExceeded when the ball is over budget, or when its top
+    stratum outgrows the int64 word indices of the vectorized walk."""
     limit = word_budget(budget)
     projected = total_words(k, max_len)
     if projected > limit:
         raise CapacityExceeded(
             f"enumeration of rank {k} up to length {max_len} needs {projected} words, "
             f"budget is {limit}"
+        )
+    if stratum_size(k, max_len) > INT64_MAX:
+        raise CapacityExceeded(
+            f"enumeration of rank {k} up to length {max_len} needs word indices "
+            f"up to {stratum_size(k, max_len)}, beyond int64"
         )
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -247,3 +248,25 @@ def test_jordan_census_trivial_edges(real_pair):
     assert below_min.counts == (0,)
     everything = cn.census_jordan(real_pair, family, np.array([1e9]), 6)
     assert everything.counts[0] == len(list(gr.enumerate_conjugacy_classes(2, 6)))
+
+
+def _die(shard):
+    os._exit(1)
+
+
+def test_worker_crash_is_a_census_error(real_pair):
+    with pytest.raises(cn.WorkerCrashed):
+        cn._run_sharded(_die, real_pair, 4, workers=2)
+
+
+def test_int64_overflow_is_capacity_exceeded(real_pair, monkeypatch):
+    # 4 * 3^44 words in the top stratum: inside the budget, beyond int64 indices
+    with pytest.raises(cn.CapacityExceeded, match="int64"):
+        next(cn.iter_word_chunks(real_pair, 45, budget=10**30))
+    with pytest.raises(cn.CapacityExceeded, match="int64"):
+        next(cn.iter_class_chunks(real_pair, 45, budget=10**30))
+    monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", str(10**30))
+    with pytest.raises(cn.CapacityExceeded, match="int64"):
+        cn.census_cartan(real_pair, cn.CoordinateRayFamily(0, 1), GRID, 45)
+    # the largest rank-2 length whose top stratum still fits int64 passes the gate
+    assert next(cn.iter_word_chunks(real_pair, 39, budget=10**30))[0].shape == (4, 1)

@@ -215,3 +215,21 @@ def test_emit_plot_data_overlay(tmp_path):
     assert lines[0] == "# T count model"
     first = lines[1].split()
     assert float(first[1]) == pytest.approx(float(first[2]), rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "exc, code, status",
+    [
+        (KeyboardInterrupt(), "cli.Interrupted", 130),
+        (cn.WorkerCrashed("worker died"), "census.WorkerCrashed", 1),
+    ],
+)
+def test_interrupt_and_worker_crash_write_error_record(tmp_path, monkeypatch, exc, code, status):
+    def runner(config, args, out):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "validate", runner)
+    cfg = write_config(tmp_path, "v.json", {"representation": PAIR})
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == status
+    assert json.loads((out / "error.json").read_text())["code"] == code

@@ -55,6 +55,11 @@ def test_capacity_exceeded():
         list(gr.enumerate_reduced_words(2, 10, budget=100))
     with pytest.raises(gr.CapacityExceeded):
         list(gr.enumerate_conjugacy_classes(2, 10, budget=100))
+    # top stratum 4 * 3^44 is within the budget but beyond int64 word indices
+    with pytest.raises(gr.CapacityExceeded, match="int64"):
+        next(gr.enumerate_reduced_words(2, 45, budget=10**30))
+    with pytest.raises(gr.CapacityExceeded, match="int64"):
+        next(gr.enumerate_conjugacy_classes(2, 45, budget=10**30))
 
 
 def test_cyclic_reduce_examples():
