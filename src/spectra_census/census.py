@@ -5,6 +5,12 @@ in fixed-size chunks, evaluates per-factor matrix products vectorized over
 the chunk, and classifies the resulting spectrum vectors against a region
 family over a T-grid.
 
+_tally is the one chunk loop: every census, the completeness horizon and
+the growth-indicator ladder run through it.  _jordan_partial,
+_cartan_partial and _box_partial only pick the chunk stream; they keep
+their names because the perfbench tracer wraps them by name and counts
+their spans as shard busy time.
+
 Every word is addressed by its index in the depth-first lexicographic order,
 and its (P, S) is the left fold of its letters through one renormalized step
 (_extend): the same floats in the same order whichever chunk or shard
@@ -16,6 +22,7 @@ integer sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -397,6 +404,14 @@ def _factor_images(rep: Representation):
     return [generator_arrays(f, rep.k) for f in rep.factors]
 
 
+def _chunk_ranges(k: int, L_max: int, shard, chunk: int):
+    """(n, lo, hi) for each chunk of each stratum's shard range, in walk order."""
+    for n in range(1, L_max + 1):
+        start, stop = (0, stratum_size(k, n)) if shard is None else shard.get(n, (0, 0))
+        for lo in range(start, stop, chunk):
+            yield n, lo, min(lo + chunk, stop)
+
+
 def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
     """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max.
 
@@ -405,17 +420,13 @@ def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=Non
     """
     _check_budget(rep.k, L_max, budget)
     images = _factor_images(rep)
-    for n in range(1, L_max + 1):
-        total = stratum_size(rep.k, n)
-        start, stop = (0, total) if shard is None else shard.get(n, (0, 0))
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            letters = decode_words(rep.k, n, lo, hi)
-            mu = np.empty((letters.shape[0], rep.d))
-            for i, (mats, logs) in enumerate(images):
-                P, S = prefix_walk(rep.k, n, lo, hi, mats, logs)
-                mu[:, i] = cartan_chunk(P, S)
-            yield letters, mu
+    for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
+        letters = decode_words(rep.k, n, lo, hi)
+        mu = np.empty((letters.shape[0], rep.d))
+        for i, (mats, logs) in enumerate(images):
+            P, S = prefix_walk(rep.k, n, lo, hi, mats, logs)
+            mu[:, i] = cartan_chunk(P, S)
+        yield letters, mu
 
 
 def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
@@ -424,27 +435,23 @@ def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=No
     _check_budget(rep.k, L_max, budget)
     images = _factor_images(rep)
     any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
-    for n in range(1, L_max + 1):
-        total = stratum_size(rep.k, n)
-        start, stop = (0, total) if shard is None else shard.get(n, (0, 0))
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            letters = decode_words(rep.k, n, lo, hi)
-            keep = cyclically_reduced_mask(letters)
-            letters = letters[keep]
-            if letters.size:
-                letters = letters[canonical_mask(letters)]
-            if not letters.size:
-                continue
-            lam = np.empty((letters.shape[0], rep.d))
-            holos = np.full((letters.shape[0], rep.d), np.nan) if any_complex else None
-            for i, (mats, logs) in enumerate(images):
-                P, S = evaluate_chunk(letters, mats, logs)
-                lengths, h = jordan_chunk(P, S, rep.factors[i].field == algebra.COMPLEX)
-                lam[:, i] = lengths
-                if h is not None:
-                    holos[:, i] = h
-            yield letters, lam, holos, periods(letters) == n
+    for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
+        letters = decode_words(rep.k, n, lo, hi)
+        keep = cyclically_reduced_mask(letters)
+        letters = letters[keep]
+        if letters.size:
+            letters = letters[canonical_mask(letters)]
+        if not letters.size:
+            continue
+        lam = np.empty((letters.shape[0], rep.d))
+        holos = np.full((letters.shape[0], rep.d), np.nan) if any_complex else None
+        for i, (mats, logs) in enumerate(images):
+            P, S = evaluate_chunk(letters, mats, logs)
+            lengths, h = jordan_chunk(P, S, rep.factors[i].field == algebra.COMPLEX)
+            lam[:, i] = lengths
+            if h is not None:
+                holos[:, i] = h
+        yield letters, lam, holos, periods(letters) == n
 
 
 def _gate_validated(rep: Representation, force: bool):
@@ -481,18 +488,6 @@ class _Partial:
     histograms: Optional[np.ndarray] = None  # (d, n_grid, n_sectors)
 
 
-def _merge(parts: List[_Partial]) -> _Partial:
-    counts = parts[0].counts.copy()
-    c_min = parts[0].c_min
-    hist = None if parts[0].histograms is None else parts[0].histograms.copy()
-    for p in parts[1:]:
-        counts += p.counts
-        c_min = min(c_min, p.c_min)
-        if hist is not None:
-            hist += p.histograms
-    return _Partial(counts, c_min, hist)
-
-
 def _shards(k: int, L_max: int, workers: int) -> List[Dict[int, Tuple[int, int]]]:
     if workers <= 1:
         return [None]
@@ -508,47 +503,31 @@ def _shards(k: int, L_max: int, workers: int) -> List[Dict[int, Tuple[int, int]]
     return out
 
 
-def _jordan_partial(rep, family, grid, L_max, primitive_only, sink, shard, budget) -> _Partial:
-    counts = np.zeros(grid.size, dtype=np.int64)
-    c_min = math.inf
-    for letters, lam, holos, primitive in iter_class_chunks(rep, L_max, shard=shard, budget=budget):
-        norms = np.sqrt(np.sum(lam * lam, axis=1))
-        c_min = min(c_min, float(np.min(norms / letters.shape[1])))
-        if sink is not None:
-            sink(letters, lam, holos)
-        rows = lam[primitive] if primitive_only else lam
-        counts += family.count_grid(rows, grid)
-    return _Partial(counts, c_min)
+def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial:
+    """The one chunk loop behind every census, horizon and ladder.
 
-
-def _cartan_partial(rep, family, grid, L_max, sink, shard, budget) -> _Partial:
-    counts = np.zeros(grid.size, dtype=np.int64)
-    c_min = math.inf
-    for letters, mu in iter_word_chunks(rep, L_max, shard=shard, budget=budget):
-        norms = np.sqrt(np.sum(mu * mu, axis=1))
-        c_min = min(c_min, float(np.min(norms / letters.shape[1])))
-        if sink is not None:
-            sink(letters, mu, None)
-        counts += family.count_grid(mu, grid)
-    return _Partial(counts, c_min)
-
-
-def _box_partial(rep, family, grid, L_max, primitive_only, edges, sink, shard, budget) -> _Partial:
-    counts = np.zeros(grid.size, dtype=np.int64)
+    chunks yields (letters, X, holos or None, primitive or None).  Per chunk
+    it folds the minimal stretch per letter into c_min, hands the chunk to
+    the sink, adds each family's count_grid over the grid into its row of
+    counts (n_families, n_grid), and, when sector edges are given, bins the
+    holonomy of the rows inside the first family's window per grid time.
+    """
+    counts = np.zeros((len(families), grid.size), dtype=np.int64)
     hist = None if edges is None else np.zeros((rep.d, grid.size, len(edges) - 1), dtype=np.int64)
     c_min = math.inf
     complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
-    for letters, lam, holos, primitive in iter_class_chunks(rep, L_max, shard=shard, budget=budget):
-        norms = np.sqrt(np.sum(lam * lam, axis=1))
+    for letters, X, holos, primitive in chunks:
+        norms = np.sqrt(np.sum(X * X, axis=1))
         c_min = min(c_min, float(np.min(norms / letters.shape[1])))
         if sink is not None:
-            sink(letters, lam, holos)
+            sink(letters, X, holos)
         keep = primitive if primitive_only else slice(None)
-        rows = lam[keep]
-        counts += family.count_grid(rows, grid)
+        rows = X[keep]
+        for row, family in zip(counts, families):
+            row += family.count_grid(rows, grid)
         if hist is not None and complex_factors and rows.size:
             hrows = holos[keep]
-            lo, hi = family.window(rows)
+            lo, hi = families[0].window(rows)
             for ti, t in enumerate(grid):
                 mask = (lo <= t) & (t <= hi)
                 if not mask.any():
@@ -560,6 +539,21 @@ def _box_partial(rep, family, grid, L_max, primitive_only, edges, sink, shard, b
     return _Partial(counts, c_min, hist)
 
 
+def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, shard, budget) -> _Partial:
+    chunks = iter_class_chunks(rep, L_max, shard=shard, budget=budget)
+    return _tally(rep, chunks, families, grid, primitive_only, None, sink)
+
+
+def _cartan_partial(rep, families, grid, L_max, sink, shard, budget) -> _Partial:
+    chunks = ((w, mu, None, None) for w, mu in iter_word_chunks(rep, L_max, shard=shard, budget=budget))
+    return _tally(rep, chunks, families, grid, False, None, sink)
+
+
+def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard, budget) -> _Partial:
+    chunks = iter_class_chunks(rep, L_max, shard=shard, budget=budget)
+    return _tally(rep, chunks, families, grid, primitive_only, edges, sink)
+
+
 def _run_sharded(task: Callable, rep, L_max: int, workers: int) -> _Partial:
     shards = _shards(rep.k, L_max, workers)
     if len(shards) == 1:
@@ -569,7 +563,8 @@ def _run_sharded(task: Callable, rep, L_max: int, workers: int) -> _Partial:
             parts = list(pool.map(task, shards))
     except BrokenProcessPool as exc:
         raise WorkerCrashed(f"a census worker process died: {exc}") from exc
-    return _merge(parts)
+    hist = None if parts[0].histograms is None else sum(p.histograms for p in parts)
+    return _Partial(sum(p.counts for p in parts), min(p.c_min for p in parts), hist)
 
 
 def _grid(t_grid) -> np.ndarray:
@@ -579,9 +574,26 @@ def _grid(t_grid) -> np.ndarray:
     return grid
 
 
-def _check_sink(spectra_sink, workers: int):
-    if spectra_sink is not None and workers > 1:
+def _census(rep, walk, args, family, t_grid, L_max, kind, workers, force, budget, sink):
+    """Gate, run walk(rep, (family,), grid, L_max, *args, sink, shard, budget)
+    over the worker shards, and wrap the family's counts as a CountSeries."""
+    _gate_validated(rep, force)
+    if sink is not None and workers > 1:
         raise ValueError("a spectra sink requires workers=1 (callbacks do not cross processes)")
+    grid = _grid(t_grid)
+    task = functools.partial(walk, rep, (family,), grid, L_max, *args, sink, budget=budget)
+    part = _run_sharded(task, rep, L_max, workers)
+    series = CountSeries(
+        t_grid=tuple(grid),
+        counts=tuple(part.counts[0]),
+        kind=kind,
+        region=family.region_id,
+        L_max=L_max,
+        t_trust=_horizon(part.c_min, L_max, float(grid[-1])),
+        c_min_hat=part.c_min,
+        cumulative=family.cumulative,
+    )
+    return series, part
 
 
 def census_jordan(
@@ -596,26 +608,11 @@ def census_jordan(
     spectra_sink=None,
 ) -> CountSeries:
     """Count conjugacy classes whose Jordan vector lies in family(T), per grid T."""
-    _gate_validated(rep, force)
-    _check_sink(spectra_sink, workers)
-    grid = _grid(t_grid)
-    part = _run_sharded(
-        _JordanTask(rep, family, grid, L_max, primitive_only, spectra_sink, budget),
-        rep,
-        L_max,
-        workers,
-    )
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
-    return CountSeries(
-        t_grid=tuple(grid),
-        counts=tuple(part.counts),
-        kind=kind,
-        region=family.region_id,
-        L_max=L_max,
-        t_trust=_horizon(part.c_min, L_max, float(grid[-1])),
-        c_min_hat=part.c_min,
-        cumulative=family.cumulative,
-    )
+    return _census(
+        rep, _jordan_partial, (primitive_only,), family, t_grid, L_max, kind, workers, force,
+        budget, spectra_sink,
+    )[0]
 
 
 def census_cartan(
@@ -629,22 +626,10 @@ def census_cartan(
     spectra_sink=None,
 ) -> CountSeries:
     """Count group elements whose Cartan vector lies in family(T), per grid T."""
-    _gate_validated(rep, force)
-    _check_sink(spectra_sink, workers)
-    grid = _grid(t_grid)
-    part = _run_sharded(
-        _CartanTask(rep, family, grid, L_max, spectra_sink, budget), rep, L_max, workers
-    )
-    return CountSeries(
-        t_grid=tuple(grid),
-        counts=tuple(part.counts),
-        kind=KIND_CARTAN,
-        region=family.region_id,
-        L_max=L_max,
-        t_trust=_horizon(part.c_min, L_max, float(grid[-1])),
-        c_min_hat=part.c_min,
-        cumulative=family.cumulative,
-    )
+    return _census(
+        rep, _cartan_partial, (), family, t_grid, L_max, KIND_CARTAN, workers, force, budget,
+        spectra_sink,
+    )[0]
 
 
 def census_box(
@@ -666,9 +651,6 @@ def census_box(
     Returns (CountSeries, histograms) where histograms is None without
     sectors, else {factor_index: [HolonomyHistogram per grid point]}.
     """
-    _gate_validated(rep, force)
-    _check_sink(spectra_sink, workers)
-    grid = _grid(t_grid)
     family = BoxWindowFamily(direction, widths)
     edges = None
     if sectors is not None:
@@ -677,66 +659,27 @@ def census_box(
             raise ValueError("sectors must be an increasing sequence of angles")
         if abs(edges[0]) > 1e-12 or abs(edges[-1] - math.pi) > 1e-12:
             raise ValueError("sector edges must cover [0, pi] exactly")
-    part = _run_sharded(
-        _BoxTask(rep, family, grid, L_max, primitive_only, edges, spectra_sink, budget),
-        rep,
-        L_max,
-        workers,
-    )
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
-    series = CountSeries(
-        t_grid=tuple(grid),
-        counts=tuple(part.counts),
-        kind=kind,
-        region=family.region_id,
-        L_max=L_max,
-        t_trust=_horizon(part.c_min, L_max, float(grid[-1])),
-        c_min_hat=part.c_min,
-        cumulative=False,
+    series, part = _census(
+        rep, _box_partial, (primitive_only, edges), family, t_grid, L_max, kind, workers, force,
+        budget, spectra_sink,
     )
-    histograms = None
-    if edges is not None:
-        histograms = {}
-        for i, f in enumerate(rep.factors):
-            if f.field != algebra.COMPLEX:
-                continue
-            histograms[i] = [
-                HolonomyHistogram(
-                    sector_edges=tuple(edges),
-                    counts=tuple(int(c) for c in part.histograms[i, ti]),
-                    factor=i,
-                    time=float(t),
-                )
-                for ti, t in enumerate(grid)
-            ]
+    if edges is None:
+        return series, None
+    histograms = {}
+    for i, f in enumerate(rep.factors):
+        if f.field != algebra.COMPLEX:
+            continue
+        histograms[i] = [
+            HolonomyHistogram(
+                sector_edges=tuple(edges),
+                counts=tuple(int(c) for c in part.histograms[i, ti]),
+                factor=i,
+                time=t,
+            )
+            for ti, t in enumerate(series.t_grid)
+        ]
     return series, histograms
-
-
-class _JordanTask:
-    def __init__(self, rep, family, grid, L_max, primitive_only, sink, budget):
-        self.args = (rep, family, grid, L_max, primitive_only, sink, budget)
-
-    def __call__(self, shard):
-        rep, family, grid, L_max, primitive_only, sink, budget = self.args
-        return _jordan_partial(rep, family, grid, L_max, primitive_only, sink, shard, budget)
-
-
-class _CartanTask:
-    def __init__(self, rep, family, grid, L_max, sink, budget):
-        self.args = (rep, family, grid, L_max, sink, budget)
-
-    def __call__(self, shard):
-        rep, family, grid, L_max, sink, budget = self.args
-        return _cartan_partial(rep, family, grid, L_max, sink, shard, budget)
-
-
-class _BoxTask:
-    def __init__(self, rep, family, grid, L_max, primitive_only, edges, sink, budget):
-        self.args = (rep, family, grid, L_max, primitive_only, edges, sink, budget)
-
-    def __call__(self, shard):
-        rep, family, grid, L_max, primitive_only, edges, sink, budget = self.args
-        return _box_partial(rep, family, grid, L_max, primitive_only, edges, sink, shard, budget)
 
 
 def completeness_horizon(
@@ -759,18 +702,14 @@ def completeness_horizon(
     _gate_validated(rep, force)
     if L_max < 1:
         raise InsufficientData("need at least the length-1 stratum")
-    c_min = math.inf
+    no_grid = np.empty(0)
     if kind in (KIND_JORDAN, KIND_JORDAN_PRIMITIVE, "jordan"):
-        for letters, lam, _holos, _prim in iter_class_chunks(rep, L_max, budget=budget):
-            norms = np.sqrt(np.sum(lam * lam, axis=1))
-            c_min = min(c_min, float(np.min(norms / letters.shape[1])))
+        task = functools.partial(_jordan_partial, rep, (), no_grid, L_max, False, None, budget=budget)
     elif kind in (KIND_CARTAN, "cartan"):
-        for letters, mu in iter_word_chunks(rep, L_max, budget=budget):
-            norms = np.sqrt(np.sum(mu * mu, axis=1))
-            c_min = min(c_min, float(np.min(norms / letters.shape[1])))
+        task = functools.partial(_cartan_partial, rep, (), no_grid, L_max, None, budget=budget)
     else:
         raise ValueError(f"unknown census kind {kind!r}")
+    c_min = _run_sharded(task, rep, L_max, workers).c_min
     if not math.isfinite(c_min):
         raise InsufficientData("enumeration produced no items")
-    raw = c_min * (L_max - 1) - c_min
-    return max(0.0, raw), c_min
+    return _horizon(c_min, L_max, math.inf), c_min

@@ -310,6 +310,8 @@ def _series_run(config, args, out: Path, which: str) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
     grid = parse_grid(config["t_grid"])
     L_max = int(config["L_max"])
+    if args.dump_spectra and args.workers > 1:
+        raise SchemaError("--dump-spectra needs --workers 1 (the dump is written in one process)")
     t0 = time.time()
     dump = None
     try:
@@ -575,7 +577,9 @@ def run_report(config, args, out: Path) -> int:
             lines.append(f"stretch ratio range: m_hat={dep.m_hat:.6g} M_hat={dep.M_hat:.6g}")
         extra["dependence_rank"] = dep.rank
     for kind in ("jordan", "cartan"):
-        t_trust, c_min = census.completeness_horizon(rep, L_max, kind, force=args.force)
+        t_trust, c_min = census.completeness_horizon(
+            rep, L_max, kind, workers=args.workers, force=args.force
+        )
         lines.append(f"{kind} horizon at L_max={L_max}: c_min_hat={c_min:.6g} T_trust={t_trust:.6g}")
         extra[f"{kind}_t_trust"] = t_trust
         extra[f"{kind}_c_min_hat"] = c_min

@@ -20,13 +20,14 @@ from .census import (
     CoordinateRayFamily,
     CountSeries,
     census_cartan,
-    iter_class_chunks,
-    iter_word_chunks,
+    _cartan_partial,
     _gate_validated,
     _grid,
     _horizon,
+    _jordan_partial,
 )
 from .errors import SpectraCensusError
+from .group import _check_budget, total_words
 from .reps import Representation
 
 NEG_INF = float("-inf")
@@ -183,41 +184,6 @@ def fit_growth(
 # growth-indicator ladder
 
 
-def _tube_profile(rep: Representation, v: np.ndarray, L_max: int, kind: str, budget=None):
-    """One enumeration pass: per item, (norm, distance to the line R v)."""
-    norms: List[np.ndarray] = []
-    dists: List[np.ndarray] = []
-    if kind == "cartan":
-        chunks = ((letters, mu) for letters, mu in iter_word_chunks(rep, L_max, budget=budget))
-    else:
-        chunks = (
-            (letters, lam)
-            for letters, lam, _h, _p in iter_class_chunks(rep, L_max, budget=budget)
-        )
-    c_min = math.inf
-    for letters, X in chunks:
-        nrm = np.sqrt(np.sum(X * X, axis=1))
-        c_min = min(c_min, float(np.min(nrm / letters.shape[1])))
-        resid = X - np.outer(X @ v, v)
-        norms.append(nrm)
-        dists.append(np.sqrt(np.sum(resid * resid, axis=1)))
-    return np.concatenate(norms), np.concatenate(dists), c_min
-
-
-def _cone_profile(rep: Representation, v: np.ndarray, L_max: int, budget=None):
-    """One enumeration pass: per class, (norm, angle to v)."""
-    norms: List[np.ndarray] = []
-    angles: List[np.ndarray] = []
-    c_min = math.inf
-    for letters, lam, _h, _p in iter_class_chunks(rep, L_max, budget=budget):
-        nrm = np.sqrt(np.sum(lam * lam, axis=1))
-        c_min = min(c_min, float(np.min(nrm / letters.shape[1])))
-        cosang = np.clip((lam @ v) / nrm, -1.0, 1.0)
-        norms.append(nrm)
-        angles.append(np.arccos(cosang))
-    return np.concatenate(norms), np.concatenate(angles), c_min
-
-
 def growth_indicator_ladder(
     rep: Representation,
     direction: Sequence[float],
@@ -248,13 +214,31 @@ def growth_indicator_ladder(
     if np.any(v <= 0.0):
         raise ValueError("direction must be interior (strictly positive coordinates)")
 
-    if source == "jordan-cone":
-        norms, aperture_vals, c_min = _cone_profile(rep, v, L_max, budget=budget)
-        strict = True
+    # One pass: per item, its norm and its aperture value (distance to the
+    # line R v for tubes, angle to v for cones), written in place.
+    _check_budget(rep.k, L_max, budget)
+    norms = np.empty(total_words(rep.k, L_max))
+    aperture_vals = np.empty_like(norms)
+    filled = 0
+
+    def profile(letters, X, holos):
+        nonlocal filled
+        m = X.shape[0]
+        nrm = norms[filled : filled + m]
+        np.sqrt(np.sum(X * X, axis=1), out=nrm)
+        if source == "jordan-cone":
+            np.arccos(np.clip((X @ v) / nrm, -1.0, 1.0), out=aperture_vals[filled : filled + m])
+        else:
+            resid = X - np.outer(X @ v, v)
+            np.sqrt(np.sum(resid * resid, axis=1), out=aperture_vals[filled : filled + m])
+        filled += m
+
+    if source == "cartan-tube":
+        c_min = _cartan_partial(rep, (), grid, L_max, profile, None, budget).c_min
     else:
-        kind = "cartan" if source == "cartan-tube" else "jordan"
-        norms, aperture_vals, c_min = _tube_profile(rep, v, L_max, kind, budget=budget)
-        strict = False
+        c_min = _jordan_partial(rep, (), grid, L_max, False, profile, None, budget).c_min
+    norms, aperture_vals = norms[:filled], aperture_vals[:filled]
+    strict = source == "jordan-cone"
 
     t_trust = _horizon(c_min, L_max, float(grid[-1]))
     deltas: List[float] = []
@@ -263,6 +247,7 @@ def growth_indicator_ladder(
         kept = norms[inside]
         kept.sort()  # in place: a second copy of the selection set the peak RSS
         counts = np.searchsorted(kept, grid, side="right")
+        del kept  # so the next aperture's selection does not coexist with this one
         if counts[-1] == 0:
             deltas.append(NEG_INF)
             continue

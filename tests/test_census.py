@@ -135,13 +135,30 @@ def test_box_counts_match_truncated_tube_difference(two_factor_rep):
     assert diff == list(series_box.counts)
 
 
-def test_census_deterministic_across_workers(two_factor_rep, tube_family):
+def test_census_deterministic_across_workers(two_factor_rep, complex_pair, tube_family):
     s1 = cn.census_jordan(two_factor_rep, tube_family, GRID, 8, workers=1)
     s2 = cn.census_jordan(two_factor_rep, tube_family, GRID, 8, workers=2)
     s8 = cn.census_jordan(two_factor_rep, tube_family, GRID, 8, workers=8)
     assert s1.counts == s2.counts == s8.counts
     assert s1.t_trust == s2.t_trust == s8.t_trust
     assert s1.c_min_hat == s2.c_min_hat == s8.c_min_hat
+    # the holonomy histograms and the primitive filter merge across shards too
+    edges = np.linspace(0.0, math.pi, 7)
+    grid = np.arange(2.0, 14.0, 0.7) + 0.013
+    boxes = [
+        cn.census_box(complex_pair, (1.0,), (0.9,), grid, 8, sectors=edges, workers=w)
+        for w in (1, 2, 3)
+    ]
+    assert boxes[0][1]
+    for series, hists in boxes[1:]:
+        assert series == boxes[0][0]
+        assert hists == boxes[0][1]
+    prims = [
+        cn.census_jordan(two_factor_rep, tube_family, GRID, 8, primitive_only=True, workers=w)
+        for w in (1, 2, 3)
+    ]
+    assert prims[0] == prims[1] == prims[2]
+    assert prims[0].counts != s1.counts
 
 
 def test_partition_additivity_d1(real_pair):

@@ -195,6 +195,39 @@ def test_report_cli(tmp_path):
     assert "horizon" in text
 
 
+def test_report_horizon_shards_over_workers(tmp_path, monkeypatch):
+    seen = []
+    run_sharded = cn._run_sharded
+
+    def spy(task, rep, L_max, workers):
+        seen.append(workers)
+        return run_sharded(task, rep, L_max, workers)
+
+    monkeypatch.setattr(cn, "_run_sharded", spy)
+    cfg = write_config(tmp_path, "rep.json", {"representation": TWO_FACTOR, "L_max": 5})
+    horizons = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert cli.main(["report", "--config", str(cfg), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        manifest = json.loads((out / "MANIFEST.json").read_text())
+        horizons.append({k: v for k, v in manifest.items() if "t_trust" in k or "c_min" in k})
+    assert seen == [1, 1, 2, 2]
+    assert len(horizons[0]) == 4 and horizons[0] == horizons[1]
+
+
+def test_dump_spectra_with_workers_rejected(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "census_box_complex.json"
+    out = tmp_path / "out"
+    res = run_cli("census-box", "--config", str(cfg), "--out", str(out), "--dump-spectra",
+                  "--workers", "2")
+    assert res.returncode == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.SchemaError"
+    assert "--dump-spectra" in record["message"] and "--workers" in record["message"]
+    assert not (out / "spectra.csv").exists()
+
+
 def test_kind_mismatch_rejected(tmp_path):
     cfg = write_config(tmp_path, "k.json", {"kind": "ladder", "representation": PAIR})
     out = tmp_path / "out"

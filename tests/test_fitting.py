@@ -183,13 +183,42 @@ def test_factor_exponent_positive_and_conjugation_invariant(real_pair):
     assert moved.delta_hat == pytest.approx(base.delta_hat, abs=0.02)
 
 
-def test_ladder_single_aperture_matches_census_fit(real_pair):
-    # a one-rung tube ladder must reproduce the census + fixed-alpha fit
+def _tube(v, e):
+    return cn.TubeBallFamily(rg.TubeSpec(v, e))
+
+
+def _cone(v, e):
+    return cn.ConeBallFamily(rg.ConeSpec(v, e))
+
+
+@pytest.mark.parametrize(
+    "source, census, family, rep, direction, t_max, epsilons",
+    [
+        ("jordan-tube", cn.census_jordan, _tube, "real_pair", (1.0,), 14.0, [1.3]),
+        ("cartan-tube", cn.census_cartan, _tube, "two_factor_rep", (1.0, 1.4), 24.0, [1.3, 0.6]),
+        ("jordan-cone", cn.census_jordan, _cone, "two_factor_rep", (1.0, 1.4), 24.0, [0.03, 0.015]),
+    ],
+    ids=["jordan-tube", "cartan-tube", "jordan-cone"],
+)
+def test_ladder_single_aperture_matches_census_fit(
+    request, source, census, family, rep, direction, t_max, epsilons
+):
+    # each rung of a ladder must reproduce the census + fixed-alpha fit at its aperture
+    rep = request.getfixturevalue(rep)
+    grid = np.arange(2.0, t_max, 0.5) + 0.013
+    v = rg.unit(direction)
+    ladder = ft.growth_indicator_ladder(rep, v, epsilons, grid, 8, source)
+    assert len(set(ladder.delta_hats)) == len(epsilons)
+    for eps, delta_hat in zip(epsilons, ladder.delta_hats):
+        series = census(rep, family(v, eps), grid, 8)
+        fit = ft.fit_growth(series, fix_alpha=0.0)
+        assert delta_hat == fit.delta_hat
+        assert ladder.t_trust == series.t_trust
+
+
+def test_ladder_capacity_checked_before_profile(real_pair):
     grid = np.arange(2.0, 14.0, 0.5) + 0.013
-    eps = 1.3
-    ladder = ft.growth_indicator_ladder(real_pair, (1.0,), [eps], grid, 8, "jordan-tube")
-    family = cn.TubeBallFamily(rg.TubeSpec((1.0,), eps))
-    series = cn.census_jordan(real_pair, family, grid, 8)
-    fit = ft.fit_growth(series, fix_alpha=0.0)
-    assert ladder.delta_hats[0] == fit.delta_hat
-    assert ladder.t_trust == series.t_trust
+    with pytest.raises(cn.CapacityExceeded, match="int64"):
+        ft.growth_indicator_ladder(real_pair, (1.0,), [1.0], grid, 45, "cartan-tube", budget=10**30)
+    with pytest.raises(cn.CapacityExceeded):
+        ft.growth_indicator_ladder(real_pair, (1.0,), [1.0], grid, 10, "jordan-tube", budget=1000)
