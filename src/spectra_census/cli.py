@@ -24,7 +24,7 @@ from . import __version__, census, fitting, regions, reps
 from .census import CountSeries
 from .errors import SpectraCensusError
 from .fitting import FitResult, LadderResult
-from .group import letter_str
+from .group import code_letter, letter_str
 from .reps import SchemaError
 
 F17 = ".17g"
@@ -240,10 +240,7 @@ class SpectraDump:
 
     def __call__(self, letters, vectors, holos):
         for row in range(letters.shape[0]):
-            word = "".join(
-                letter_str(int(c) // 2 + 1 if int(c) % 2 == 0 else -(int(c) // 2 + 1))
-                for c in letters[row]
-            )
+            word = "".join(letter_str(code_letter(int(c))) for c in letters[row])
             vals = [format(x, F15) for x in vectors[row]]
             if holos is None:
                 hvals = [""] * vectors.shape[1]
@@ -429,7 +426,7 @@ def run_correlate(config, args, out: Path) -> int:
     L_max = int(config["L_max"])
     t0 = time.time()
     direction, dep = _direction(config, rep)
-    if dep is None and rep.d >= 2:
+    if dep is None:
         dep = reps.detect_dependence(rep, int(config.get("L_probe", 8)))
     widths = config.get("widths")
     if not isinstance(widths, list) or len(widths) != rep.d:
@@ -630,7 +627,8 @@ def main(argv: Optional[list] = None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--force", action="store_true", help="skip the ping-pong gate")
-        p.add_argument("--dump-spectra", action="store_true", dest="dump_spectra")
+        if name.startswith("census-"):
+            p.add_argument("--dump-spectra", action="store_true", dest="dump_spectra")
     args = parser.parse_args(argv)
 
     out = Path(args.out)

@@ -2,8 +2,8 @@
 
 Covers loading/serializing representation documents, the standard Schottky
 pair builder, constructive discreteness certification via isometric-circle
-ping-pong, word evaluation, spectrum vectors, and numerical detection of
-dependent factor tuples.
+ping-pong, scalar word evaluation and spectrum vectors (test references for the
+vectorized census engine), and numerical detection of dependent factor tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import algebra
 from .algebra import COMPLEX, REAL, NotUnimodular, RenormMatrix
 from .errors import SpectraCensusError
-from .group import CyclicWord, Word, enumerate_conjugacy_classes
+from .group import CyclicWord, Word, letter_code
 
 # Deterministic frame rotations tried when a generator fixes infinity and
 # isometric circles degenerate.  Angles are arbitrary but fixed so that
@@ -388,8 +388,7 @@ def evaluate(rep: Representation, w: Word) -> ProductElement:
         imgs = _images_with_inverses(factor)
         acc = None
         for l in w.letters:
-            code = 2 * (abs(l) - 1) + (1 if l < 0 else 0)
-            g = imgs[code]
+            g = imgs[letter_code(l)]
             acc = g if acc is None else algebra.mul(acc, g)
         mats.append(acc)
     return ProductElement(tuple(mats))
@@ -424,17 +423,20 @@ def detect_dependence(
     """Numerical rank of the span of Jordan vectors up to core length L_probe.
 
     Rank below d is the operational signature of dependent factors (the
-    spectrum cone degenerates to a lower-dimensional cone).  This is a
-    probe at finite depth, not a proof; the report records the depth.
+    spectrum cone degenerates to a lower-dimensional cone).  The vectors are
+    the ones the Jordan censuses count (census.iter_class_chunks).  This is
+    a probe at finite depth, not a proof; the report records the depth.
     """
+    from . import census  # census imports this module
     if rep.d < 2:
         raise ValueError("dependence detection needs at least two factors")
-    classes = list(enumerate_conjugacy_classes(rep.k, L_probe))
-    if len(classes) < rep.d + 3:
+    if rep.k < 2 or L_probe < 1:
+        raise ValueError(f"need rank >= 2 and L_probe >= 1, got {rep.k} and {L_probe}")
+    lam = np.concatenate([block for _, block, _, _ in census.iter_class_chunks(rep, L_probe)])
+    if len(lam) < rep.d + 3:
         raise InsufficientData(
-            f"only {len(classes)} classes up to core length {L_probe}; need {rep.d + 3}"
+            f"only {len(lam)} classes up to core length {L_probe}; need {rep.d + 3}"
         )
-    lam = np.array([lambda_vector(rep, c).coords for c in classes])
     sv = np.linalg.svd(lam, compute_uv=False)
     rank = int(np.sum(sv > tol * sv[0]))
     m_hat = M_hat = None
@@ -448,6 +450,6 @@ def detect_dependence(
         m_hat=m_hat,
         M_hat=M_hat,
         probe_core_length=L_probe,
-        n_classes=len(classes),
+        n_classes=len(lam),
         tol=tol,
     )

@@ -8,6 +8,7 @@ import pytest
 from spectra_census import census as cn
 from spectra_census import cli
 from spectra_census import fitting as ft
+from spectra_census import group as gr
 
 
 def run_cli(*args):
@@ -116,7 +117,11 @@ def test_census_cartan_with_dump(tmp_path):
     assert lines[0].startswith("word,mu_0")
     n_words = sum(cn.stratum_size(2, n) for n in range(1, 5))
     assert len(lines) == 1 + n_words
-    assert lines[1].split(",")[0] == "a"
+    words = [line.split(",")[0] for line in lines[1:]]
+    # the dump walks stratum by stratum; a stable sort by length turns the
+    # depth-first order of the scalar enumerator into the same order
+    expected = sorted(gr.enumerate_reduced_words(2, 4), key=lambda w: w.length)
+    assert words == [str(w) for w in expected]
 
 
 def test_ladder_cli(tmp_path):
@@ -225,6 +230,26 @@ def test_dump_spectra_with_workers_rejected(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["code"] == "reps.SchemaError"
     assert "--dump-spectra" in record["message"] and "--workers" in record["message"]
+    assert not (out / "spectra.csv").exists()
+
+
+def test_dump_spectra_only_on_census_subcommands(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        "lad.json",
+        {
+            "representation": PAIR,
+            "direction": [1.0],
+            "epsilons": [2.0, 1.0],
+            "source": "jordan-tube",
+            "t_grid": {"t_min": 2.0, "t_max": 14.0, "step": 0.5},
+            "L_max": 5,
+        },
+    )
+    out = tmp_path / "out"
+    res = run_cli("ladder", "--config", str(cfg), "--out", str(out), "--dump-spectra")
+    assert res.returncode == 2
+    assert "--dump-spectra" in res.stderr
     assert not (out / "spectra.csv").exists()
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from spectra_census import census as cn
 from spectra_census import regions as rg
 
 
@@ -144,3 +147,106 @@ def test_region_ids_stable():
     tube = rg.TubeSpec(unit2(3, 4), 0.5)
     assert rg.region_id(tube) == rg.region_id(rg.TubeSpec(unit2(3, 4), 0.5))
     assert "tube" in rg.region_id(tube)
+
+
+# ---------------------------------------------------------------------------
+# vector region families against the scalar predicates
+
+REL = 1e-9
+PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
+coord = st.floats(min_value=-2.0, max_value=20.0, allow_nan=False)
+positive = st.floats(min_value=0.05, max_value=3.0, allow_nan=False)
+
+
+@st.composite
+def cloud(draw):
+    """(d, points (m, d), increasing T-grid)."""
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=12))
+    grid = draw(st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=6, unique=True))
+    return d, np.array(pts), np.array(sorted(grid))
+
+
+def _clear(value, boundary):
+    return abs(value - boundary) > REL * max(1.0, abs(boundary))
+
+
+def _assume_clear_of_grid(X, grid):
+    # the orthant face x_i >= 0 needs no margin: both sides compare raw coordinates
+    for x in X:
+        assume(all(_clear(float(np.linalg.norm(x)), t) for t in grid))
+
+
+def _ball_oracle(X, grid, member):
+    return [sum(1 for x in X if member(x) and float(np.linalg.norm(x)) <= t) for t in grid]
+
+
+@PROPERTY
+@given(cloud(), st.data())
+def test_tube_ball_family_matches_in_tube(c, data):
+    d, X, grid = c
+    v = rg.unit(data.draw(st.lists(positive, min_size=d, max_size=d)))
+    offset = data.draw(st.lists(st.floats(0.0, 2.0), min_size=d, max_size=d))
+    spec = rg.TubeSpec(v, data.draw(positive), tuple(offset))
+    _assume_clear_of_grid(X, grid)
+    for x in X:
+        u = x - np.asarray(spec.offset)
+        assume(_clear(float(np.linalg.norm(u - (u @ v) * np.asarray(v))), spec.epsilon))
+    got = cn.TubeBallFamily(spec).count_grid(X, grid)
+    assert list(got) == _ball_oracle(X, grid, lambda x: rg.in_tube(x, spec))
+
+
+@PROPERTY
+@given(cloud(), st.data())
+def test_cone_ball_family_matches_in_cone(c, data):
+    d, X, grid = c
+    v = rg.unit(data.draw(st.lists(positive, min_size=d, max_size=d)))
+    spec = rg.ConeSpec(v, data.draw(st.floats(0.05, 1.5)))
+    _assume_clear_of_grid(X, grid)
+    for x in X:
+        nrm = float(np.linalg.norm(x))
+        assume(nrm > REL)
+        angle = math.acos(min(1.0, max(-1.0, float(x @ np.asarray(v)) / nrm)))
+        assume(_clear(angle, spec.half_angle))
+    got = cn.ConeBallFamily(spec).count_grid(X, grid)
+    assert list(got) == _ball_oracle(X, grid, lambda x: rg.in_cone(x, spec))
+
+
+@PROPERTY
+@given(cloud(), st.data())
+def test_box_window_family_matches_in_box_window(c, data):
+    d, X, grid = c
+    v = data.draw(st.lists(positive, min_size=d, max_size=d))
+    w = data.draw(st.lists(positive, min_size=d, max_size=d))
+    for x in X:
+        for t in grid:
+            for xi, vi, wi in zip(x, v, w):
+                assume(_clear(xi, vi * t) and _clear(xi, vi * t + wi))
+    got = cn.BoxWindowFamily(v, w).count_grid(X, grid)
+    expected = [sum(rg.in_box_window(x, rg.BoxWindow(v, w, t)) for x in X) for t in grid]
+    assert list(got) == expected
+
+
+def test_box_window_family_counts_dyadic_face_ties():
+    v, w = (0.5, 0.25), (1.0, 0.5)
+    grid = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
+    # every point lies on a face of the box at T = 2: corners and edge midpoints
+    X = np.array([[1.0, 0.5], [2.0, 1.0], [1.0, 1.0], [2.0, 0.5], [1.5, 0.5], [2.0, 0.75]])
+    got = cn.BoxWindowFamily(v, w).count_grid(X, grid)
+    expected = [sum(rg.in_box_window(x, rg.BoxWindow(v, w, t)) for x in X) for t in grid]
+    assert list(got) == expected
+    assert got[3] == len(X)
+
+
+def test_ball_families_count_norm_ties():
+    # norms 5, 10 and 2.5 are exact in binary, and so is each grid value
+    X = np.array([[3.0, 4.0], [6.0, 8.0], [1.5, 2.0], [4.0, 3.0]])
+    grid = np.array([2.5, 5.0, 10.0])
+    tube = rg.TubeSpec(rg.unit([1.0, 1.0]), 4.0)
+    cone = rg.ConeSpec(rg.unit([1.0, 1.0]), 0.5)
+    for family, member in (
+        (cn.TubeBallFamily(tube), lambda x: rg.in_tube(x, tube)),
+        (cn.ConeBallFamily(cone), lambda x: rg.in_cone(x, cone)),
+    ):
+        got = family.count_grid(X, grid)
+        assert list(got) == _ball_oracle(X, grid, member) == [1, 3, 4]

@@ -7,6 +7,7 @@ import pytest
 import mpmath
 
 from spectra_census import algebra as al
+from spectra_census import cli
 from spectra_census import group as gr
 from spectra_census import reps as rp
 from conftest import random_reduced_word
@@ -234,3 +235,72 @@ def test_detect_dependence_insufficient_data(real_pair):
     pair = rp.join(real_pair, real_pair)
     with pytest.raises(rp.InsufficientData):
         rp.detect_dependence(pair, 1, tol=1e-6)
+
+
+def _scalar_dependence(rep, L_probe, tol=rp.DEFAULT_DEPENDENCE_TOL):
+    """Reference probe on the scalar enumerator and lambda_vector."""
+    classes = list(gr.enumerate_conjugacy_classes(rep.k, L_probe))
+    lam = np.array([rp.lambda_vector(rep, c).coords for c in classes])
+    sv = np.linalg.svd(lam, compute_uv=False)
+    rank = int(np.sum(sv > tol * sv[0]))
+    ratios = lam[:, 1] / lam[:, 0]
+    return len(classes), rank, float(ratios.min()), float(ratios.max()), sv
+
+
+def _probe_pairs():
+    base = rp.schottky_pair(3.0, 3.0)
+    th = 0.5
+    h = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
+    conj = rp.Representation(k=2, factors=(rp.conjugate_factor(base.factors[0], h),))
+    swapped = rp.Representation(k=2, factors=(_mixed_factor(3.0, 5.0), _mixed_factor(5.0, 3.0)))
+    return {
+        "self": (rp.join(base, base), 6),
+        "conjugate": (rp.join(base, conj), 6),
+        "swapped": (swapped, 6),
+        "a4": (rp.join(base, rp.schottky_pair(5.0, 3.0)), 8),
+    }
+
+
+@pytest.mark.parametrize("name", ["self", "conjugate", "swapped", "a4"])
+def test_detect_dependence_matches_scalar_reference(name):
+    rep, L_probe = _probe_pairs()[name]
+    report = rp.detect_dependence(rep, L_probe)
+    n, rank, m_hat, M_hat, sv = _scalar_dependence(rep, L_probe)
+    assert report.n_classes == n
+    assert report.rank == rank
+    assert report.dependent == (rank < 2)
+    assert (report.m_hat, report.M_hat) == (m_hat, M_hat)
+    np.testing.assert_allclose(report.singular_values, sv, rtol=1e-12, atol=0.0)
+
+
+def test_detect_dependence_runs_without_scalar_engine(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar engine called at runtime")
+
+    monkeypatch.setattr(rp, "lambda_vector", forbidden)
+    monkeypatch.setattr(rp, "evaluate", forbidden)
+    monkeypatch.setattr(gr, "enumerate_conjugacy_classes", forbidden)
+    rep, L_probe = _probe_pairs()["a4"]
+    assert rp.detect_dependence(rep, L_probe).rank == 2
+    pair = {"builder": "schottky_pair", "separation": 3, "field": "real"}
+    cfg = tmp_path / "corr.json"
+    cfg.write_text(json.dumps({
+        "representation": {"factors": [dict(pair, stretch=3), dict(pair, stretch=5)]},
+        "direction": "auto",
+        "widths": [1.5, 1.5],
+        "t_grid": {"t_min": 3.0, "t_max": 20.0, "step": 0.8},
+        "L_max": 7,
+        "L_probe": 5,
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["correlate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "MANIFEST.json").read_text())["dependence"]["rank"] == 2
+
+
+def test_detect_dependence_rejects_bad_depth_and_rank(real_pair):
+    with pytest.raises(ValueError):
+        rp.detect_dependence(rp.join(real_pair, real_pair), 0)
+    g = real_pair.factors[0].generators[0]
+    rank_one = rp.Representation(k=1, factors=(rp.Factor("real", (g,)),) * 2)
+    with pytest.raises(ValueError):
+        rp.detect_dependence(rank_one, 4)
