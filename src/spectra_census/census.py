@@ -2,8 +2,9 @@
 
 Streams reduced words / conjugacy-class necklaces through a representation
 in fixed-size chunks, evaluates per-factor matrix products vectorized over
-the chunk, and classifies the resulting spectrum vectors against a region
-family over a T-grid.
+the chunk, and classifies the resulting spectrum vectors against region
+families over a T-grid: one count row per family, or per aperture for a
+ladder family.
 
 _tally is the one chunk loop: every census, the completeness horizon and
 the growth-indicator ladder run through it.  _jordan_partial,
@@ -148,6 +149,44 @@ class ConeBallFamily:
         keep = good & (angle < self.spec.half_angle)
         kept = np.sort(norms[keep])
         return np.searchsorted(kept, grid, side="right").astype(np.int64)
+
+
+class ApertureLadderFamily:
+    """TubeBallFamily or ConeBallFamily rows, one per spec, cumulative in T.
+
+    Each item's norm and aperture value (distance to the line, or angle to
+    the ray) are computed once per chunk, with the single families' float
+    expressions; row j counts specs[j], closed for tubes, open for cones.
+    """
+
+    cumulative = True
+
+    def __init__(self, specs: Sequence):
+        shapes = {(type(s), s.direction, getattr(s, "offset", None)) for s in specs}
+        if len(shapes) != 1 or not isinstance(specs[0], (regions.TubeSpec, regions.ConeSpec)):
+            raise ValueError("specs must be TubeSpecs or ConeSpecs of one direction and offset")
+        self.tube = isinstance(specs[0], regions.TubeSpec)
+        self.specs = tuple(specs)
+        self.rows = len(specs)
+        self.region_id = "ladder[" + ";".join(regions.region_id(s) for s in specs) + "]"
+
+    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        v = np.asarray(self.specs[0].direction)
+        norms = np.sqrt(np.sum(X * X, axis=1))
+        good = np.all(X >= 0.0, axis=1)
+        if self.tube:
+            u = X - np.asarray(self.specs[0].offset)
+            resid = u - np.outer(u @ v, v)
+            value = np.sqrt(np.sum(resid * resid, axis=1))
+        else:
+            good &= norms > 0.0
+            cosang = np.ones_like(norms)
+            np.divide(X @ v, norms, out=cosang, where=good)
+            value = np.arccos(np.clip(cosang, -1.0, 1.0))
+        value[~good] = np.inf
+        inside = [value <= s.epsilon if self.tube else value < s.half_angle for s in self.specs]
+        rows = [np.searchsorted(np.sort(norms[m]), grid, side="right") for m in inside]
+        return np.array(rows, dtype=np.int64)
 
 
 class BoxWindowFamily:
@@ -508,11 +547,12 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
 
     chunks yields (letters, X, holos or None, primitive or None).  Per chunk
     it folds the minimal stretch per letter into c_min, hands the chunk to
-    the sink, adds each family's count_grid over the grid into its row of
-    counts (n_families, n_grid), and, when sector edges are given, bins the
+    the sink, adds each family's count_grid into its block of counts (one
+    row, or family.rows), and, when sector edges are given, bins the
     holonomy of the rows inside the first family's window per grid time.
     """
-    counts = np.zeros((len(families), grid.size), dtype=np.int64)
+    spans = np.cumsum([0] + [getattr(f, "rows", 1) for f in families])
+    counts = np.zeros((spans[-1], grid.size), dtype=np.int64)
     hist = None if edges is None else np.zeros((rep.d, grid.size, len(edges) - 1), dtype=np.int64)
     c_min = math.inf
     complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
@@ -523,8 +563,8 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
             sink(letters, X, holos)
         keep = primitive if primitive_only else slice(None)
         rows = X[keep]
-        for row, family in zip(counts, families):
-            row += family.count_grid(rows, grid)
+        for start, stop, family in zip(spans, spans[1:], families):
+            counts[start:stop] += family.count_grid(rows, grid)
         if hist is not None and complex_factors and rows.size:
             hrows = holos[keep]
             lo, hi = families[0].window(rows)

@@ -398,7 +398,7 @@ def run_ladder(config, args, out: Path) -> int:
         raise SchemaError("'epsilons' must be a nonempty decreasing list")
     ladder = fitting.growth_indicator_ladder(
         rep, direction, [float(e) for e in epsilons], grid, int(config["L_max"]),
-        source, force=args.force,
+        source, workers=args.workers, force=args.force,
     )
     write_ladder_csv(ladder, out / "ladder.csv")
     emit_plot_data(ladder, out / "ladder.dat")

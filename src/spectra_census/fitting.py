@@ -9,7 +9,7 @@ upper bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,17 +17,16 @@ import numpy as np
 from . import regions
 from .census import (
     KIND_CARTAN,
+    KIND_JORDAN,
+    ApertureLadderFamily,
     CoordinateRayFamily,
     CountSeries,
     census_cartan,
     _cartan_partial,
-    _gate_validated,
-    _grid,
-    _horizon,
+    _census,
     _jordan_partial,
 )
 from .errors import SpectraCensusError
-from .group import _check_budget, total_words
 from .reps import Representation
 
 NEG_INF = float("-inf")
@@ -191,76 +190,39 @@ def growth_indicator_ladder(
     t_grid,
     L_max: int,
     source: str,
+    workers: int = 1,
     force: bool = False,
     budget: Optional[int] = None,
 ) -> LadderResult:
     """Fitted growth rates in shrinking tubes/cones around a direction.
 
-    Per aperture the counts are fitted with alpha fixed to 0 (pure rate
-    extraction); the extrapolated value is the median of the last two
-    finite rates.  Directions outside the spectrum cone produce empty
-    censuses and the -inf sentinel.
+    One census walk, sharded over workers, counts every aperture as one
+    row of an ApertureLadderFamily.  Each row is fitted with alpha fixed to
+    0 (pure rate extraction); the extrapolated value is the median of the
+    last two finite rates.  Directions outside the spectrum cone produce
+    empty censuses and the -inf sentinel.
     """
     if source not in LADDER_SOURCES:
         raise ValueError(f"source must be one of {LADDER_SOURCES}")
     eps = [float(e) for e in epsilons]
-    if not eps or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("epsilons must be strictly decreasing")
-    if source == "jordan-cone" and any(e >= math.pi / 2 for e in eps):
+    if not eps or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] <= 0.0:
+        raise ValueError("epsilons must be positive and strictly decreasing")
+    if source == "jordan-cone" and eps[0] >= math.pi / 2:
         raise ValueError("cone apertures must be below pi/2")
-    _gate_validated(rep, force)
-    grid = _grid(t_grid)
-    v = np.asarray(regions.unit(direction), dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("direction must be interior (strictly positive coordinates)")
-
-    # One pass: per item, its norm and its aperture value (distance to the
-    # line R v for tubes, angle to v for cones), written in place.
-    _check_budget(rep.k, L_max, budget)
-    norms = np.empty(total_words(rep.k, L_max))
-    aperture_vals = np.empty_like(norms)
-    filled = 0
-
-    def profile(letters, X, holos):
-        nonlocal filled
-        m = X.shape[0]
-        nrm = norms[filled : filled + m]
-        np.sqrt(np.sum(X * X, axis=1), out=nrm)
-        if source == "jordan-cone":
-            np.arccos(np.clip((X @ v) / nrm, -1.0, 1.0), out=aperture_vals[filled : filled + m])
-        else:
-            resid = X - np.outer(X @ v, v)
-            np.sqrt(np.sum(resid * resid, axis=1), out=aperture_vals[filled : filled + m])
-        filled += m
-
+    v = regions.unit(direction)
+    spec = regions.ConeSpec if source == "jordan-cone" else regions.TubeSpec
+    family = ApertureLadderFamily([spec(v, e) for e in eps])
     if source == "cartan-tube":
-        c_min = _cartan_partial(rep, (), grid, L_max, profile, None, budget).c_min
+        walk, args, kind = _cartan_partial, (), KIND_CARTAN
     else:
-        c_min = _jordan_partial(rep, (), grid, L_max, False, profile, None, budget).c_min
-    norms, aperture_vals = norms[:filled], aperture_vals[:filled]
-    strict = source == "jordan-cone"
-
-    t_trust = _horizon(c_min, L_max, float(grid[-1]))
+        walk, args, kind = _jordan_partial, (False,), KIND_JORDAN
+    first, part = _census(rep, walk, args, family, t_grid, L_max, kind, workers, force, budget, None)
     deltas: List[float] = []
-    for e in eps:
-        inside = aperture_vals < e if strict else aperture_vals <= e
-        kept = norms[inside]
-        kept.sort()  # in place: a second copy of the selection set the peak RSS
-        counts = np.searchsorted(kept, grid, side="right")
-        del kept  # so the next aperture's selection does not coexist with this one
+    for e, counts in zip(eps, part.counts):
         if counts[-1] == 0:
             deltas.append(NEG_INF)
             continue
-        series = CountSeries(
-            t_grid=tuple(grid),
-            counts=tuple(int(c) for c in counts),
-            kind=KIND_CARTAN if source == "cartan-tube" else "jordan-classes",
-            region=f"{source}[eps={e:.6g}]",
-            L_max=L_max,
-            t_trust=t_trust,
-            c_min_hat=c_min,
-            cumulative=True,
-        )
+        series = replace(first, counts=counts, region=f"{source}[eps={e:.6g}]")
         try:
             deltas.append(fit_growth(series, fix_alpha=0.0).delta_hat)
         except (EmptyWindow, ZeroCounts, IllConditioned) as exc:
@@ -268,18 +230,14 @@ def growth_indicator_ladder(
                 f"{source} at aperture {e:.6g}: no trusted T-range supports a fit ({exc})"
             ) from None
     finite = [d for d in deltas if d != NEG_INF]
-    if not finite:
-        extrapolated = NEG_INF
-    else:
-        extrapolated = float(np.median(finite[-2:]))
     return LadderResult(
         epsilons=tuple(eps),
         delta_hats=tuple(deltas),
-        extrapolated=extrapolated,
+        extrapolated=float(np.median(finite[-2:])) if finite else NEG_INF,
         source=source,
-        direction=tuple(float(x) for x in v),
-        t_trust=t_trust,
-        c_min_hat=c_min,
+        direction=v,
+        t_trust=first.t_trust,
+        c_min_hat=first.c_min_hat,
     )
 
 

@@ -221,6 +221,37 @@ def test_report_horizon_shards_over_workers(tmp_path, monkeypatch):
     assert len(horizons[0]) == 4 and horizons[0] == horizons[1]
 
 
+def test_ladder_shards_over_workers(tmp_path, monkeypatch):
+    seen = []
+    run_sharded = cn._run_sharded
+
+    def spy(task, rep, L_max, workers):
+        seen.append(workers)
+        return run_sharded(task, rep, L_max, workers)
+
+    monkeypatch.setattr(cn, "_run_sharded", spy)
+    cfg = write_config(
+        tmp_path,
+        "lad.json",
+        {
+            "representation": TWO_FACTOR,
+            "direction": [1.0, 1.4],
+            "epsilons": [1.3, 0.6],
+            "source": "cartan-tube",
+            "t_grid": {"t_min": 2.013, "t_max": 24.0, "step": 0.5},
+            "L_max": 8,
+        },
+    )
+    artifacts = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        assert cli.main(["ladder", "--config", str(cfg), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        artifacts.append([(out / name).read_bytes() for name in ("ladder.csv", "ladder.dat")])
+    assert seen == [1, 2]
+    assert artifacts[0] == artifacts[1]
+
+
 def test_dump_spectra_with_workers_rejected(tmp_path):
     cfg = Path(__file__).resolve().parents[1] / "configs" / "census_box_complex.json"
     out = tmp_path / "out"

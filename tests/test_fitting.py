@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,8 @@ def test_ladder_validates_arguments(real_pair):
         ft.growth_indicator_ladder(real_pair, (1.0,), [1.0, 0.5], grid, 6, "nope")
     with pytest.raises(ValueError):
         ft.growth_indicator_ladder(real_pair, (1.0,), [2.0, 1.6], grid, 6, "jordan-cone")
+    with pytest.raises(ValueError, match="epsilons"):
+        ft.growth_indicator_ladder(real_pair, (1.0,), [0.5, -1.0], grid, 6, "cartan-tube")
 
 
 def test_factor_exponent_combinatorial_oracle():
@@ -216,7 +219,34 @@ def test_ladder_single_aperture_matches_census_fit(
         assert ladder.t_trust == series.t_trust
 
 
-def test_ladder_capacity_checked_before_profile(real_pair):
+@pytest.mark.parametrize("source", ["jordan-tube", "cartan-tube", "jordan-cone"])
+def test_ladder_equal_across_workers(two_factor_rep, source):
+    grid = np.arange(2.0, 24.0, 0.5) + 0.013
+    v = rg.unit((1.0, 1.4))
+    epsilons = [0.03, 0.015] if source == "jordan-cone" else [1.3, 0.6]
+    ladders = [
+        ft.growth_indicator_ladder(two_factor_rep, v, epsilons, grid, 8, source, workers=w)
+        for w in (1, 3)
+    ]
+    assert ladders[0] == ladders[1]
+
+
+def test_ladder_memory_flat_in_L_max(two_factor_rep):
+    # counts accumulate per chunk, so the peak does not grow with the ball
+    grid = np.arange(4.037, 47.0, 0.5)
+    v = rg.unit((1.0, 1.4))
+    peaks = []
+    for L_max in (10, 12):
+        tracemalloc.start()
+        try:
+            ft.growth_indicator_ladder(two_factor_rep, v, [1.6, 1.1, 0.8], grid, L_max, "cartan-tube")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_ladder_capacity_checked_before_walk(real_pair):
     grid = np.arange(2.0, 14.0, 0.5) + 0.013
     with pytest.raises(cn.CapacityExceeded, match="int64"):
         ft.growth_indicator_ladder(real_pair, (1.0,), [1.0], grid, 45, "cartan-tube", budget=10**30)

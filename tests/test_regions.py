@@ -250,3 +250,63 @@ def test_ball_families_count_norm_ties():
     ):
         got = family.count_grid(X, grid)
         assert list(got) == _ball_oracle(X, grid, member) == [1, 3, 4]
+
+
+def _aperture_values(X, v, offset):
+    """Distance to the tube's line (offset given) or angle to the cone's ray
+    (offset None), by the ball families' own float expressions: a spec built
+    from one of these values has that point exactly on its boundary."""
+    v = np.asarray(v)
+    if offset is not None:
+        u = X - np.asarray(offset)
+        resid = u - np.outer(u @ v, v)
+        return np.sqrt(np.sum(resid * resid, axis=1))
+    norms = np.sqrt(np.sum(X * X, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.arccos(np.clip((X @ v) / norms, -1.0, 1.0))
+
+
+def _ladder_specs(v, apertures, offset):
+    if offset is None:
+        return [rg.ConeSpec(v, a) for a in apertures], cn.ConeBallFamily
+    return [rg.TubeSpec(v, a, offset) for a in apertures], cn.TubeBallFamily
+
+
+@PROPERTY
+@given(cloud(), st.data())
+def test_aperture_ladder_rows_match_ball_families(c, data):
+    d, X, grid = c
+    v = rg.unit(data.draw(st.lists(positive, min_size=d, max_size=d)))
+    offset = None
+    if data.draw(st.booleans()):
+        offset = tuple(data.draw(st.lists(st.floats(0.0, 2.0), min_size=d, max_size=d)))
+    # apertures drawn from the points' own values put boundary ties in the ladder
+    ties = [float(a) for a in _aperture_values(X, v, offset) if 0.0 < a < math.pi / 2]
+    aperture = st.floats(0.05, 1.5) | (st.sampled_from(ties) if ties else st.nothing())
+    specs, single = _ladder_specs(v, data.draw(st.lists(aperture, min_size=1, max_size=4)), offset)
+    got = cn.ApertureLadderFamily(specs).count_grid(X, grid)
+    assert got.shape == (len(specs), grid.size) and got.dtype == np.int64
+    for row, spec in zip(got, specs):
+        assert list(row) == list(single(spec).count_grid(X, grid))
+
+
+def test_aperture_ladder_counts_aperture_ties():
+    # (3,4) and (4,3) sit exactly on the first rung's boundary: the closed
+    # tube counts them at T = 10, the open cone does not
+    X = np.array([[3.0, 4.0], [4.0, 3.0], [1.0, 1.0]])
+    grid = np.array([2.0, 10.0])
+    v = rg.unit([1.0, 1.0])
+    for offset, expected in (((0.0, 0.0), [[1, 3], [1, 1]]), (None, [[1, 1], [1, 1]])):
+        tie = float(_aperture_values(X, v, offset)[0])
+        specs, single = _ladder_specs(v, [tie, 0.5 * tie], offset)
+        got = cn.ApertureLadderFamily(specs).count_grid(X, grid)
+        assert got.tolist() == expected
+        assert got.tolist() == [list(single(s).count_grid(X, grid)) for s in specs]
+
+
+def test_aperture_ladder_rejects_mixed_specs():
+    v = rg.unit([1.0, 1.0])
+    for specs in ([], [rg.TubeSpec(v, 1.0), rg.ConeSpec(v, 0.5)],
+                  [rg.TubeSpec(v, 1.0), rg.TubeSpec(rg.unit([1.0, 2.0]), 0.5)]):
+        with pytest.raises(ValueError):
+            cn.ApertureLadderFamily(specs)
