@@ -18,17 +18,26 @@ and its (P, S) is the left fold of its letters through one renormalized step
 computes its prefixes, whether word by word (evaluate_chunk) or down the
 prefix tree (prefix_walk).  Counts are therefore bit-identical for any
 chunking and any number of worker shards, and shard merges are plain
-integer sums.
+integer sums.  Shards take every workers-th chunk of the walk.
+
+The Cartan stream decodes every word of a chunk (decode_words) and folds
+their products down the prefix tree.  The Jordan stream, one necklace per
+conjugacy class, walks the same tree but keeps only prenecklaces by their
+FKM state (necklace_walk), so its cost scales with the classes rather than
+the words; the survivors are evaluated word by word (evaluate_chunk).
+canonical_mask and periods, necklace filters over whole decoded rows, are
+its test oracles.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -403,6 +412,42 @@ def prefix_walk(k: int, n: int, start: int, stop: int, images: np.ndarray, logs:
     return P, S
 
 
+def necklace_walk(k: int, n: int, start: int, stop: int):
+    """(letters, period) of the cyclically reduced necklaces among the rows of
+    decode_words(k, n, start, stop), in row order, without decoding the rest.
+
+    Descends the ancestors of the rows as prefix_walk does, keeping only
+    prenecklaces with their FKM state p, the period of the longest Lyndon
+    prefix (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37,
+    2000): appending a_t to a_0..a_{t-1} kills the node if a_t < a_{t-p},
+    sets p = t + 1 if a_t > a_{t-p} and keeps p otherwise.  A leaf is a
+    necklace iff n % p == 0, and then p is its period, so a word is primitive
+    iff p == n.  The cost scales with the prenecklaces, not with the words.
+    """
+    table = _letter_table(k)
+    base = 2 * k - 1
+    pw = base ** (n - 1)
+    node = np.arange(start // pw, (stop - 1) // pw + 1)
+    letters = np.empty((node.size, n), dtype=np.int8)
+    letters[:, 0] = node
+    p = np.ones(node.size, dtype=np.int8)
+    for t in range(1, n):
+        pw //= base
+        child = (node[:, None] * base + np.arange(base)).ravel()
+        inside = (child >= start // pw) & (child <= (stop - 1) // pw)
+        parent = np.repeat(np.arange(node.size), base)[inside]
+        node = child[inside]
+        a = table[letters[parent, t - 1], node % base]
+        ref = letters[parent, t - p[parent]]
+        alive = a >= ref
+        parent, node, a = parent[alive], node[alive], a[alive]
+        p = np.where(a > ref[alive], t + 1, p[parent])
+        letters = letters[parent]
+        letters[:, t] = a
+    keep = (n % p == 0) & cyclically_reduced_mask(letters)
+    return letters[keep], p[keep]
+
+
 def jordan_chunk(P: np.ndarray, S: np.ndarray, is_complex: bool, tol: float = algebra.DEFAULT_TOL):
     """(lengths, holonomy angles or None); raises NonLoxodromic on any failure."""
     t = P[:, 0, 0] + P[:, 1, 1]
@@ -444,18 +489,19 @@ def _factor_images(rep: Representation):
 
 
 def _chunk_ranges(k: int, L_max: int, shard, chunk: int):
-    """(n, lo, hi) for each chunk of each stratum's shard range, in walk order."""
-    for n in range(1, L_max + 1):
-        start, stop = (0, stratum_size(k, n)) if shard is None else shard.get(n, (0, 0))
-        for lo in range(start, stop, chunk):
-            yield n, lo, min(lo + chunk, stop)
+    """(n, lo, hi) for each chunk of each stratum in walk order; shard (w,
+    workers) keeps every workers-th of them from the w-th on."""
+    w, workers = (0, 1) if shard is None else shard
+    sizes = [(n, stratum_size(k, n)) for n in range(1, L_max + 1)]
+    ranges = ((n, lo, min(lo + chunk, total)) for n, total in sizes for lo in range(0, total, chunk))
+    return itertools.islice(ranges, w, None, workers)
 
 
 def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
     """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max.
 
-    shard, when given, is a dict {n: (start, stop)} of index ranges per
-    stratum; the default covers everything.
+    shard, when given, is a pair (w, workers) from _shards; the default
+    covers everything.
     """
     _check_budget(rep.k, L_max, budget)
     images = _factor_images(rep)
@@ -470,16 +516,17 @@ def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=Non
 
 def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
     """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
-    canonical necklaces of core length 1..L_max."""
+    canonical necklaces of core length 1..L_max, one per conjugacy class.
+
+    Each chunk holds the necklaces among one chunk of word indices, found by
+    necklace_walk in index order; chunks without one are skipped.  shard is
+    as in iter_word_chunks.
+    """
     _check_budget(rep.k, L_max, budget)
     images = _factor_images(rep)
     any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
     for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
-        letters = decode_words(rep.k, n, lo, hi)
-        keep = cyclically_reduced_mask(letters)
-        letters = letters[keep]
-        if letters.size:
-            letters = letters[canonical_mask(letters)]
+        letters, period = necklace_walk(rep.k, n, lo, hi)
         if not letters.size:
             continue
         lam = np.empty((letters.shape[0], rep.d))
@@ -490,7 +537,7 @@ def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=No
             lam[:, i] = lengths
             if h is not None:
                 holos[:, i] = h
-        yield letters, lam, holos, periods(letters) == n
+        yield letters, lam, holos, period == n
 
 
 def _gate_validated(rep: Representation, force: bool):
@@ -527,19 +574,13 @@ class _Partial:
     histograms: Optional[np.ndarray] = None  # (d, n_grid, n_sectors)
 
 
-def _shards(k: int, L_max: int, workers: int) -> List[Dict[int, Tuple[int, int]]]:
+def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
+    """One (w, workers) per worker: the walk's chunks are dealt round the
+    workers, so each gets the same number of chunks give or take one, and
+    the necklaces, which crowd the low indices of every stratum, are shared."""
     if workers <= 1:
         return [None]
-    out = []
-    for w in range(workers):
-        shard = {}
-        for n in range(1, L_max + 1):
-            total = stratum_size(k, n)
-            lo = total * w // workers
-            hi = total * (w + 1) // workers
-            shard[n] = (lo, hi)
-        out.append(shard)
-    return out
+    return [(w, workers) for w in range(workers)]
 
 
 def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial:
@@ -595,7 +636,7 @@ def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard,
 
 
 def _run_sharded(task: Callable, rep, L_max: int, workers: int) -> _Partial:
-    shards = _shards(rep.k, L_max, workers)
+    shards = _shards(workers)
     if len(shards) == 1:
         return task(shards[0])
     try:

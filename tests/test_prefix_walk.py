@@ -1,4 +1,5 @@
-"""The prefix-tree walk against word-by-word evaluation, byte for byte."""
+"""The prefix-tree walks against word-by-word decoding, filtering and
+evaluation, byte for byte."""
 
 import numpy as np
 import pytest
@@ -70,3 +71,82 @@ def test_cartan_census_independent_of_workers(two_factor_rep):
         assert series.counts == runs[0].counts
         assert series.c_min_hat == runs[0].c_min_hat
         assert series.t_trust == runs[0].t_trust
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 10), (3, 7)])
+def test_necklace_walk_matches_decode_and_filters(k, n_max):
+    for n in range(1, n_max + 1):
+        total = gr.stratum_size(k, n)
+        rows = cn.decode_words(k, n, 0, total)
+        keep = cn.cyclically_reduced_mask(rows)
+        keep[keep] = cn.canonical_mask(rows[keep])
+        for chunk in (1, 7, 1000, cn.CHUNK):
+            for lo, hi in _ranges(total, chunk, offset=min(5, total - 1)):
+                if lo == hi:
+                    continue
+                want = rows[lo:hi][keep[lo:hi]]
+                letters, period = cn.necklace_walk(k, n, lo, hi)
+                assert letters.dtype == want.dtype
+                assert np.array_equal(letters, want)
+                assert np.array_equal(period, cn.periods(want))
+
+
+def _decoded_class_chunks(rep, L_max, shard, chunk):
+    """iter_class_chunks by decoding, filtering and evaluating every word of
+    each chunk."""
+    images = cn._factor_images(rep)
+    any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
+    for n, lo, hi in cn._chunk_ranges(rep.k, L_max, shard, chunk):
+        letters = cn.decode_words(rep.k, n, lo, hi)
+        letters = letters[cn.cyclically_reduced_mask(letters)]
+        letters = letters[cn.canonical_mask(letters)]
+        if not letters.size:
+            continue
+        lam = np.empty((letters.shape[0], rep.d))
+        holos = np.full((letters.shape[0], rep.d), np.nan) if any_complex else None
+        for i, (mats, logs) in enumerate(images):
+            P, S = cn.evaluate_chunk(letters, mats, logs)
+            lengths, h = cn.jordan_chunk(P, S, rep.factors[i].field == algebra.COMPLEX)
+            lam[:, i] = lengths
+            if h is not None:
+                holos[:, i] = h
+        yield letters, lam, holos, cn.periods(letters) == n
+
+
+@pytest.mark.parametrize("rep_name", ["two_factor_rep", "complex_pair"])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chunk", [7, 1000, cn.CHUNK])
+def test_class_chunks_match_decoded_pipeline(request, rep_name, workers, chunk):
+    rep = request.getfixturevalue(rep_name)
+    rows = 0
+    for shard in cn._shards(workers):
+        got = list(cn.iter_class_chunks(rep, 8, shard=shard, chunk=chunk))
+        want = list(_decoded_class_chunks(rep, 8, shard, chunk))
+        assert len(got) == len(want)
+        rows += sum(len(w[0]) for w in want)
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                if b is None:
+                    assert a is None
+                    continue
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    assert rows == len(list(gr.enumerate_conjugacy_classes(rep.k, 8)))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_shard_chunks_partition_every_stratum(k, workers):
+    L_max, chunk = 6, 7
+    ranges = {}
+    for shard in cn._shards(workers):
+        walk = list(cn._chunk_ranges(k, L_max, shard, chunk))
+        assert walk == sorted(walk)
+        for n, lo, hi in walk:
+            ranges.setdefault(n, []).append((lo, hi))
+    assert sorted(ranges) == list(range(1, L_max + 1))
+    for n, spans in ranges.items():
+        spans.sort()
+        assert spans[0][0] == 0 and spans[-1][1] == gr.stratum_size(k, n)
+        assert all(lo < hi for lo, hi in spans)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
