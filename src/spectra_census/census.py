@@ -4,7 +4,8 @@ Streams reduced words / conjugacy-class necklaces through a representation
 in fixed-size chunks, evaluates per-factor matrix products vectorized over
 the chunk, and classifies the resulting spectrum vectors against region
 families over a T-grid: one count row per family, or per aperture for a
-ladder family.
+ladder family.  A tube or cone ball is the one-rung ladder, so both
+regions have one implementation, ApertureLadderFamily.count_grid.
 
 _tally is the one chunk loop: every census, the completeness horizon and
 the growth-indicator ladder run through it.  _jordan_partial,
@@ -120,52 +121,15 @@ class HolonomyHistogram:
 # region families: vectorized classification against a T-grid
 
 
-class TubeBallFamily:
-    """{x in tube : ||x|| <= T}, cumulative in T."""
-
-    cumulative = True
-
-    def __init__(self, spec: regions.TubeSpec):
-        self.spec = spec
-        self.region_id = regions.region_id(spec)
-
-    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.spec.direction)
-        u = X - np.asarray(self.spec.offset)
-        resid = u - np.outer(u @ v, v)
-        dist = np.sqrt(np.sum(resid * resid, axis=1))
-        keep = (dist <= self.spec.epsilon) & np.all(X >= 0.0, axis=1)
-        norms = np.sort(np.sqrt(np.sum(X[keep] * X[keep], axis=1)))
-        return np.searchsorted(norms, grid, side="right").astype(np.int64)
-
-
-class ConeBallFamily:
-    """{x in open cone : ||x|| <= T}, cumulative in T."""
-
-    cumulative = True
-
-    def __init__(self, spec: regions.ConeSpec):
-        self.spec = spec
-        self.region_id = regions.region_id(spec)
-
-    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.spec.direction)
-        norms = np.sqrt(np.sum(X * X, axis=1))
-        good = (norms > 0.0) & np.all(X >= 0.0, axis=1)
-        cosang = np.ones_like(norms)
-        np.divide(X @ v, norms, out=cosang, where=good)
-        angle = np.arccos(np.clip(cosang, -1.0, 1.0))
-        keep = good & (angle < self.spec.half_angle)
-        kept = np.sort(norms[keep])
-        return np.searchsorted(kept, grid, side="right").astype(np.int64)
-
-
 class ApertureLadderFamily:
-    """TubeBallFamily or ConeBallFamily rows, one per spec, cumulative in T.
+    """Tube or cone balls {x in region_j : ||x|| <= T}, one row per spec j,
+    cumulative in T.
 
     Each item's norm and aperture value (distance to the line, or angle to
-    the ray) are computed once per chunk, with the single families' float
-    expressions; row j counts specs[j], closed for tubes, open for cones.
+    the ray) are computed once per chunk; row j counts specs[j], closed for
+    tubes, open for cones, inside the closed positive orthant.  This is the
+    one implementation of both regions: a single tube or cone ball is the
+    one-rung ladder.
     """
 
     cumulative = True
@@ -196,6 +160,26 @@ class ApertureLadderFamily:
         inside = [value <= s.epsilon if self.tube else value < s.half_angle for s in self.specs]
         rows = [np.searchsorted(np.sort(norms[m]), grid, side="right") for m in inside]
         return np.array(rows, dtype=np.int64)
+
+
+class _Ball(ApertureLadderFamily):
+    """The one-rung ladder of spec, counted as a single row."""
+
+    def __init__(self, spec):
+        super().__init__([spec])
+        self.spec = spec
+        self.region_id = regions.region_id(spec)
+
+    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        return super().count_grid(X, grid)[0]
+
+
+class TubeBallFamily(_Ball):
+    """{x in tube : ||x|| <= T}, cumulative in T: the one-rung tube ladder."""
+
+
+class ConeBallFamily(_Ball):
+    """{x in open cone : ||x|| <= T}, cumulative in T: the one-rung cone ladder."""
 
 
 class BoxWindowFamily:
@@ -635,7 +619,7 @@ def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard,
     return _tally(rep, chunks, families, grid, primitive_only, edges, sink)
 
 
-def _run_sharded(task: Callable, rep, L_max: int, workers: int) -> _Partial:
+def _run_sharded(task: Callable, workers: int) -> _Partial:
     shards = _shards(workers)
     if len(shards) == 1:
         return task(shards[0])
@@ -663,7 +647,7 @@ def _census(rep, walk, args, family, t_grid, L_max, kind, workers, force, budget
         raise ValueError("a spectra sink requires workers=1 (callbacks do not cross processes)")
     grid = _grid(t_grid)
     task = functools.partial(walk, rep, (family,), grid, L_max, *args, sink, budget=budget)
-    part = _run_sharded(task, rep, L_max, workers)
+    part = _run_sharded(task, workers)
     series = CountSeries(
         t_grid=tuple(grid),
         counts=tuple(part.counts[0]),
@@ -790,7 +774,7 @@ def completeness_horizon(
         task = functools.partial(_cartan_partial, rep, (), no_grid, L_max, None, budget=budget)
     else:
         raise ValueError(f"unknown census kind {kind!r}")
-    c_min = _run_sharded(task, rep, L_max, workers).c_min
+    c_min = _run_sharded(task, workers).c_min
     if not math.isfinite(c_min):
         raise InsufficientData("enumeration produced no items")
     return _horizon(c_min, L_max, math.inf), c_min

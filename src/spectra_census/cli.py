@@ -310,16 +310,20 @@ def _series_run(config, args, out: Path, which: str) -> int:
     if args.dump_spectra and args.workers > 1:
         raise SchemaError("--dump-spectra needs --workers 1 (the dump is written in one process)")
     t0 = time.time()
+    if which == "census-box":
+        direction, _ = _direction(config, rep)
+        widths = config.get("widths")
+        if not isinstance(widths, list) or len(widths) != rep.d:
+            raise SchemaError(f"'widths' must be a list of length {rep.d}")
+        sectors = _sector_edges(config.get("sectors"))
+    else:
+        family = parse_region(config["region"], rep.d)
     dump = None
+    if args.dump_spectra:
+        kind = "cartan" if which == "census-cartan" else "jordan"
+        dump = SpectraDump(out / "spectra.csv", rep.d, kind)
     try:
         if which == "census-box":
-            direction, _ = _direction(config, rep)
-            widths = config.get("widths")
-            if not isinstance(widths, list) or len(widths) != rep.d:
-                raise SchemaError(f"'widths' must be a list of length {rep.d}")
-            sectors = _sector_edges(config.get("sectors"))
-            if args.dump_spectra:
-                dump = SpectraDump(out / "spectra.csv", rep.d, "jordan")
             series, hists = census.census_box(
                 rep,
                 direction,
@@ -334,28 +338,22 @@ def _series_run(config, args, out: Path, which: str) -> int:
             )
             if hists:
                 write_histograms_csv(hists, out / "holonomy.csv")
+        elif which == "census-jordan":
+            series = census.census_jordan(
+                rep,
+                family,
+                grid,
+                L_max,
+                primitive_only=bool(config.get("primitive_only", False)),
+                workers=args.workers,
+                force=args.force,
+                spectra_sink=dump,
+            )
         else:
-            family = parse_region(config["region"], rep.d)
-            if which == "census-jordan":
-                if args.dump_spectra:
-                    dump = SpectraDump(out / "spectra.csv", rep.d, "jordan")
-                series = census.census_jordan(
-                    rep,
-                    family,
-                    grid,
-                    L_max,
-                    primitive_only=bool(config.get("primitive_only", False)),
-                    workers=args.workers,
-                    force=args.force,
-                    spectra_sink=dump,
-                )
-            else:
-                if args.dump_spectra:
-                    dump = SpectraDump(out / "spectra.csv", rep.d, "cartan")
-                series = census.census_cartan(
-                    rep, family, grid, L_max, workers=args.workers, force=args.force,
-                    spectra_sink=dump,
-                )
+            series = census.census_cartan(
+                rep, family, grid, L_max, workers=args.workers, force=args.force,
+                spectra_sink=dump,
+            )
     finally:
         if dump is not None:
             dump.close()
@@ -464,14 +462,13 @@ def run_correlate(config, args, out: Path) -> int:
         "c_min_hat": series.c_min_hat,
         "bounds_pass": bool(bounds.pass_min_bound and (bounds.pass_mean_bound is not False)),
     }
-    if dep is not None:
-        extra["dependence"] = {
-            "rank": dep.rank,
-            "dependent": dep.dependent,
-            "m_hat": dep.m_hat,
-            "M_hat": dep.M_hat,
-            "probe_core_length": dep.probe_core_length,
-        }
+    extra["dependence"] = {
+        "rank": dep.rank,
+        "dependent": dep.dependent,
+        "m_hat": dep.m_hat,
+        "M_hat": dep.M_hat,
+        "probe_core_length": dep.probe_core_length,
+    }
     _manifest(out, "correlate", config, extra, t0, args.workers)
     return 0
 

@@ -111,16 +111,7 @@ def restrict_to_positive(series: CountSeries) -> CountSeries:
     kept = [(t, c) for t, c in zip(series.t_grid, series.counts) if c > 0]
     if not kept:
         raise EmptyWindow("series has no positive cells")
-    return CountSeries(
-        t_grid=tuple(t for t, _ in kept),
-        counts=tuple(c for _, c in kept),
-        kind=series.kind,
-        region=series.region,
-        L_max=series.L_max,
-        t_trust=series.t_trust,
-        c_min_hat=series.c_min_hat,
-        cumulative=series.cumulative,
-    )
+    return replace(series, t_grid=tuple(t for t, _ in kept), counts=tuple(c for _, c in kept))
 
 
 def fit_growth(
@@ -207,8 +198,6 @@ def growth_indicator_ladder(
     eps = [float(e) for e in epsilons]
     if not eps or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] <= 0.0:
         raise ValueError("epsilons must be positive and strictly decreasing")
-    if source == "jordan-cone" and eps[0] >= math.pi / 2:
-        raise ValueError("cone apertures must be below pi/2")
     v = regions.unit(direction)
     spec = regions.ConeSpec if source == "jordan-cone" else regions.TubeSpec
     family = ApertureLadderFamily([spec(v, e) for e in eps])

@@ -271,9 +271,9 @@ def _die(shard):
     os._exit(1)
 
 
-def test_worker_crash_is_a_census_error(real_pair):
+def test_worker_crash_is_a_census_error():
     with pytest.raises(cn.WorkerCrashed):
-        cn._run_sharded(_die, real_pair, 4, workers=2)
+        cn._run_sharded(_die, workers=2)
 
 
 def test_int64_overflow_is_capacity_exceeded(real_pair, monkeypatch):

@@ -204,9 +204,9 @@ def test_report_horizon_shards_over_workers(tmp_path, monkeypatch):
     seen = []
     run_sharded = cn._run_sharded
 
-    def spy(task, rep, L_max, workers):
+    def spy(task, workers):
         seen.append(workers)
-        return run_sharded(task, rep, L_max, workers)
+        return run_sharded(task, workers)
 
     monkeypatch.setattr(cn, "_run_sharded", spy)
     cfg = write_config(tmp_path, "rep.json", {"representation": TWO_FACTOR, "L_max": 5})
@@ -225,9 +225,9 @@ def test_ladder_shards_over_workers(tmp_path, monkeypatch):
     seen = []
     run_sharded = cn._run_sharded
 
-    def spy(task, rep, L_max, workers):
+    def spy(task, workers):
         seen.append(workers)
-        return run_sharded(task, rep, L_max, workers)
+        return run_sharded(task, workers)
 
     monkeypatch.setattr(cn, "_run_sharded", spy)
     cfg = write_config(

@@ -254,7 +254,7 @@ def test_ball_families_count_norm_ties():
 
 def _aperture_values(X, v, offset):
     """Distance to the tube's line (offset given) or angle to the cone's ray
-    (offset None), by the ball families' own float expressions: a spec built
+    (offset None), by ApertureLadderFamily's own float expressions: a spec built
     from one of these values has that point exactly on its boundary."""
     v = np.asarray(v)
     if offset is not None:
@@ -275,6 +275,7 @@ def _ladder_specs(v, apertures, offset):
 @PROPERTY
 @given(cloud(), st.data())
 def test_aperture_ladder_rows_match_ball_families(c, data):
+    # a ball is the one-rung ladder: each rung counts as if it stood alone
     d, X, grid = c
     v = rg.unit(data.draw(st.lists(positive, min_size=d, max_size=d)))
     offset = None
@@ -310,3 +311,40 @@ def test_aperture_ladder_rejects_mixed_specs():
                   [rg.TubeSpec(v, 1.0), rg.TubeSpec(rg.unit([1.0, 2.0]), 0.5)]):
         with pytest.raises(ValueError):
             cn.ApertureLadderFamily(specs)
+
+
+def _families(d):
+    """Every region family in d dimensions, with the leading shape of its rows."""
+    v, w = rg.unit([1.0] * d), [1.0] * d
+    return [
+        (cn.TubeBallFamily(rg.TubeSpec(v, 1.0)), ()),
+        (cn.ConeBallFamily(rg.ConeSpec(v, 0.5)), ()),
+        (cn.ApertureLadderFamily([rg.TubeSpec(v, 1.0), rg.TubeSpec(v, 0.5)]), (2,)),
+        (cn.ApertureLadderFamily([rg.ConeSpec(v, 0.5), rg.ConeSpec(v, 0.25)]), (2,)),
+        (cn.BoxWindowFamily(v, w), ()),
+        (cn.CoordinateRayFamily(0, d), ()),
+        (cn.TruncatedTubeFamily(v, w, "upper"), ()),
+        (cn.TruncatedTubeFamily(v, w, "lower"), ()),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_families_count_an_empty_chunk_as_zeros(d):
+    # primitive_only can empty a chunk, and the chunk loop still hands it over
+    grid = np.array([0.0, 1.0, 5.0])
+    for family, rows in _families(d):
+        got = family.count_grid(np.empty((0, d)), grid)
+        assert got.shape == rows + (grid.size,) and got.dtype == np.int64
+        assert not got.any()
+
+
+def test_zero_vector_in_closed_tube_not_in_open_cone():
+    X = np.zeros((1, 2))
+    grid = np.array([0.0, 1.0, 5.0])
+    v = rg.unit([1.0, 2.0])
+    tube, cone = rg.TubeSpec(v, 0.5), rg.ConeSpec(v, 1.0)
+    assert rg.in_tube(X[0], tube) and not rg.in_cone(X[0], cone)
+    assert cn.TubeBallFamily(tube).count_grid(X, grid).tolist() == [1, 1, 1]
+    assert cn.ConeBallFamily(cone).count_grid(X, grid).tolist() == [0, 0, 0]
+    assert cn.ApertureLadderFamily([tube]).count_grid(X, grid).tolist() == [[1, 1, 1]]
+    assert cn.ApertureLadderFamily([cone]).count_grid(X, grid).tolist() == [[0, 0, 0]]
