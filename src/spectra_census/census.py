@@ -19,13 +19,17 @@ and its (P, S) is the left fold of its letters through one renormalized step
 computes its prefixes, whether word by word (evaluate_chunk) or down the
 prefix tree (prefix_walk).  Counts are therefore bit-identical for any
 chunking and any number of worker shards, and shard merges are plain
-integer sums.  Shards take every workers-th chunk of the walk.
+integer sums.  Shards take every workers-th chunk of the walk.  The fold
+keeps each 2x2 in struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of
+contiguous 1-d arrays, for words and necklaces, real and complex alike.
 
-The Cartan stream decodes every word of a chunk (decode_words) and folds
-their products down the prefix tree.  The Jordan stream, one necklace per
-conjugacy class, walks the same tree but keeps only prenecklaces by their
-FKM state (necklace_walk), so its cost scales with the classes rather than
-the words; the survivors are evaluated word by word (evaluate_chunk).
+The Cartan stream (_word_stream) folds each chunk of word indices down the
+prefix tree and never decodes it: _tally needs only the word length, and
+the letters are decoded (decode_words) only for a spectra sink, or for
+iter_word_chunks.  The Jordan stream, one necklace per conjugacy class,
+walks the same tree but keeps only prenecklaces by their FKM state
+(necklace_walk), so its cost scales with the classes rather than the
+words; the survivors are evaluated word by word (evaluate_chunk).
 canonical_mask and periods, necklace filters over whole decoded rows, are
 its test oracles.
 """
@@ -119,6 +123,22 @@ class HolonomyHistogram:
 
 # ---------------------------------------------------------------------------
 # region families: vectorized classification against a T-grid
+#
+# Per-row reductions over the narrow (m, d) spectrum arrays are left folds
+# over the d columns: one pass per column instead of a short reduction per
+# row, with the same floats as numpy's row reductions.
+
+
+def _row_sq_sum(X: np.ndarray) -> np.ndarray:
+    """np.sum(X * X, axis=1), bit for bit."""
+    if X.shape[1] >= 8:  # numpy sums eight or more terms pairwise, not left to right
+        return np.sum(X * X, axis=1)
+    return functools.reduce(np.add, (c * c for c in X.T))
+
+
+def _row_nonneg(X: np.ndarray) -> np.ndarray:
+    """np.all(X >= 0.0, axis=1)."""
+    return functools.reduce(np.logical_and, (c >= 0.0 for c in X.T))
 
 
 class ApertureLadderFamily:
@@ -145,12 +165,11 @@ class ApertureLadderFamily:
 
     def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
         v = np.asarray(self.specs[0].direction)
-        norms = np.sqrt(np.sum(X * X, axis=1))
-        good = np.all(X >= 0.0, axis=1)
+        norms = np.sqrt(_row_sq_sum(X))
+        good = _row_nonneg(X)
         if self.tube:
             u = X - np.asarray(self.specs[0].offset)
-            resid = u - np.outer(u @ v, v)
-            value = np.sqrt(np.sum(resid * resid, axis=1))
+            value = np.sqrt(_row_sq_sum(u - np.outer(u @ v, v)))
         else:
             good &= norms > 0.0
             cosang = np.ones_like(norms)
@@ -202,8 +221,9 @@ class BoxWindowFamily:
 
     def window(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per row, the closed interval of T for which the row is in the box."""
-        lo = np.max((X - self.widths) / self.direction, axis=1)
-        hi = np.min(X / self.direction, axis=1)
+        cols = list(zip(X.T, self.widths, self.direction))
+        lo = functools.reduce(np.maximum, ((c - w) / v for c, w, v in cols))
+        hi = functools.reduce(np.minimum, (c / v for c, w, v in cols))
         return lo, hi
 
     def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -259,10 +279,10 @@ class TruncatedTubeFamily:
         t = X @ v
         U = X - np.outer(t, v)
         if self.side == "upper":
-            b = np.min((self.widths - U) / v, axis=1)
+            b = functools.reduce(np.minimum, ((w - c) / vi for c, w, vi in zip(U.T, self.widths, v)))
         else:
-            b = np.max(-U / v, axis=1)
-        keep = (t >= 0.0) & np.all(X >= 0.0, axis=1)
+            b = functools.reduce(np.maximum, (-c / vi for c, vi in zip(U.T, v)))
+        keep = (t >= 0.0) & _row_nonneg(X)
         vals = np.sort((t - b)[keep])
         return np.searchsorted(vals, grid, side="right").astype(np.int64)
 
@@ -330,45 +350,51 @@ def periods(letters: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extend(P: np.ndarray, S: np.ndarray, B: np.ndarray, logB: np.ndarray):
+def _extend(P, S: np.ndarray, B, logB: np.ndarray):
     """One left-fold step: (P, S) -> renormalized (P @ B, S + logB).
 
+    P and B are 2x2 matrices in struct-of-arrays form, 4-tuples
+    (p00, p01, p10, p11) of contiguous 1-d arrays, one entry per item;
+    cartan_chunk sums their squared moduli in that order, left to right.
     Renormalization divides by an exact power of two exactly as the scalar
     path does.  Every evaluation path takes its steps through here, so a
     word's (P, S) is the same fold of the same floats whichever path ran it.
     """
-    a00, a01 = P[:, 0, 0], P[:, 0, 1]
-    a10, a11 = P[:, 1, 0], P[:, 1, 1]
-    b00, b01 = B[:, 0, 0], B[:, 0, 1]
-    b10, b11 = B[:, 1, 0], B[:, 1, 1]
-    Q = np.empty_like(P)
-    Q[:, 0, 0] = a00 * b00 + a01 * b10
-    Q[:, 0, 1] = a00 * b01 + a01 * b11
-    Q[:, 1, 0] = a10 * b00 + a11 * b10
-    Q[:, 1, 1] = a10 * b01 + a11 * b11
+    a00, a01, a10, a11 = P
+    b00, b01, b10, b11 = B
+    Q = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
     S = S + logB
-    A = np.abs(Q)
-    mx = np.maximum(np.maximum(A[:, 0, 0], A[:, 0, 1]), np.maximum(A[:, 1, 0], A[:, 1, 1]))
+    mx = np.maximum(np.maximum(np.abs(Q[0]), np.abs(Q[1])), np.maximum(np.abs(Q[2]), np.abs(Q[3])))
     _, e = np.frexp(mx)
-    e = np.where((mx >= 0.5) & (mx <= 2.0), 0, e).astype(np.int32)
-    Q /= np.ldexp(1.0, e)[:, None, None]
+    e *= (mx < 0.5) | (mx > 2.0)  # no rescaling while 0.5 <= mx <= 2
+    scale = np.ldexp(1.0, e)
+    for q in Q:
+        q /= scale
     S += e * LN2
     return Q, S
 
 
-def evaluate_chunk(letters: np.ndarray, images: np.ndarray, logs: np.ndarray):
+def _gather(P, idx: np.ndarray):
+    """The items idx of a struct-of-arrays 2x2 (or generator images)."""
+    return tuple(np.take(x, idx) for x in P)
+
+
+def evaluate_chunk(letters: np.ndarray, images, logs: np.ndarray):
     """Renormalized products of generator images along each row.
 
-    Returns (entries (m,2,2), log_scales (m,)).
+    images holds the generator images as a 4-tuple of (2k,) entry arrays
+    (_factor_images).  Returns (P, log_scales (m,)), P the 4-tuple
+    (p00, p01, p10, p11) of (m,) arrays, whose Frobenius norm cartan_chunk
+    sums left to right in that order.
     """
-    P = images[letters[:, 0]]
+    P = _gather(images, letters[:, 0])
     S = logs[letters[:, 0]]
     for j in range(1, letters.shape[1]):
-        P, S = _extend(P, S, images[letters[:, j]], logs[letters[:, j]])
+        P, S = _extend(P, S, _gather(images, letters[:, j]), logs[letters[:, j]])
     return P, S
 
 
-def prefix_walk(k: int, n: int, start: int, stop: int, images: np.ndarray, logs: np.ndarray):
+def prefix_walk(k: int, n: int, start: int, stop: int, images, logs: np.ndarray):
     """evaluate_chunk(decode_words(k, n, start, stop), images, logs), folded
     down the prefix tree instead of word by word.
 
@@ -376,22 +402,24 @@ def prefix_walk(k: int, n: int, start: int, stop: int, images: np.ndarray, logs:
     [start // b^(n-j), (stop-1) // b^(n-j) + 1) of stratum j, with b = 2k-1.
     Depth 1 is the generator images; each deeper level extends the level
     above by one _extend step per node, so a word costs about b/(b-1)
-    products instead of n-1, and its (P, S) is bit-identical to
-    evaluate_chunk's.
+    products instead of n-1, and its (P, S), P the 4-tuple (p00, p01, p10,
+    p11) of entry arrays in the order cartan_chunk sums them, is
+    bit-identical to evaluate_chunk's.
     """
-    table = _letter_table(k)
+    table = _letter_table(k).astype(np.intp)
     base = 2 * k - 1
     pw = base ** (n - 1)
     lo = start // pw
     last = np.arange(lo, (stop - 1) // pw + 1)
-    P, S = images[last], logs[last]
+    P, S = _gather(images, last), logs[last]
     for _ in range(1, n):
         pw //= base
         child_lo = start // pw
-        parent, digit = np.divmod(np.arange(child_lo, (stop - 1) // pw + 1), base)
-        parent -= lo
-        last = table[last[parent], digit]
-        P, S = _extend(P[parent], S[parent], images[last], logs[last])
+        # the children of nodes lo.. are lo*base.., base per node
+        rows = slice(child_lo - lo * base, (stop - 1) // pw + 1 - lo * base)
+        parent = np.repeat(np.arange(last.size), base)[rows]
+        last = np.take(table, last, axis=0).ravel()[rows]
+        P, S = _extend(_gather(P, parent), np.take(S, parent), _gather(images, last), np.take(logs, last))
         lo = child_lo
     return P, S
 
@@ -432,9 +460,9 @@ def necklace_walk(k: int, n: int, start: int, stop: int):
     return letters[keep], p[keep]
 
 
-def jordan_chunk(P: np.ndarray, S: np.ndarray, is_complex: bool, tol: float = algebra.DEFAULT_TOL):
+def jordan_chunk(P, S: np.ndarray, is_complex: bool, tol: float = algebra.DEFAULT_TOL):
     """(lengths, holonomy angles or None); raises NonLoxodromic on any failure."""
-    t = P[:, 0, 0] + P[:, 1, 1]
+    t = P[0] + P[3]
     det = np.exp(-2.0 * S)
     if is_complex:
         r = np.sqrt(t * t - 4.0 * det + 0j)
@@ -457,8 +485,11 @@ def jordan_chunk(P: np.ndarray, S: np.ndarray, is_complex: bool, tol: float = al
     return 2.0 * (S + np.log(lam)), None
 
 
-def cartan_chunk(P: np.ndarray, S: np.ndarray) -> np.ndarray:
-    fro2 = np.sum(np.abs(P) ** 2, axis=(1, 2))
+def cartan_chunk(P, S: np.ndarray) -> np.ndarray:
+    # |p00|^2 + |p01|^2 + |p10|^2 + |p11|^2 summed left to right, the order
+    # np.sum(|P|^2, axis=(1, 2)) takes over an (m, 2, 2) array
+    a00, a01, a10, a11 = (np.abs(x) ** 2 for x in P)
+    fro2 = a00 + a01 + a10 + a11
     h = 2.0 * S + np.log(fro2) - LN2
     h = np.maximum(h, 0.0)
     return h + np.log1p(np.sqrt(-np.expm1(-2.0 * h)))
@@ -469,7 +500,13 @@ def cartan_chunk(P: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def _factor_images(rep: Representation):
-    return [generator_arrays(f, rep.k) for f in rep.factors]
+    """Per factor, (images, logs): the generator images as a 4-tuple of
+    contiguous (2k,) entry arrays, in letter-code order."""
+    out = []
+    for f in rep.factors:
+        mats, logs = generator_arrays(f, rep.k)
+        out.append((tuple(mats[:, i, j].copy() for i in (0, 1) for j in (0, 1)), logs))
+    return out
 
 
 def _chunk_ranges(k: int, L_max: int, shard, chunk: int):
@@ -481,8 +518,10 @@ def _chunk_ranges(k: int, L_max: int, shard, chunk: int):
     return itertools.islice(ranges, w, None, workers)
 
 
-def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
-    """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max.
+def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
+    """Yields (n, lo, hi, mu (m,d)) over all reduced words of length
+    1..L_max: each chunk is the index range [lo, hi) of stratum n, whose
+    words are folded down the prefix tree and never decoded.
 
     shard, when given, is a pair (w, workers) from _shards; the default
     covers everything.
@@ -490,12 +529,17 @@ def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=Non
     _check_budget(rep.k, L_max, budget)
     images = _factor_images(rep)
     for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
-        letters = decode_words(rep.k, n, lo, hi)
-        mu = np.empty((letters.shape[0], rep.d))
+        mu = np.empty((hi - lo, rep.d))
         for i, (mats, logs) in enumerate(images):
-            P, S = prefix_walk(rep.k, n, lo, hi, mats, logs)
-            mu[:, i] = cartan_chunk(P, S)
-        yield letters, mu
+            mu[:, i] = cartan_chunk(*prefix_walk(rep.k, n, lo, hi, mats, logs))
+        yield n, lo, hi, mu
+
+
+def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
+    """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max:
+    _word_stream with each chunk's words decoded."""
+    for n, lo, hi, mu in _word_stream(rep, L_max, shard, chunk, budget):
+        yield decode_words(rep.k, n, lo, hi), mu
 
 
 def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
@@ -562,7 +606,9 @@ def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
     """One (w, workers) per worker: the walk's chunks are dealt round the
     workers, so each gets the same number of chunks give or take one, and
     the necklaces, which crowd the low indices of every stratum, are shared."""
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         return [None]
     return [(w, workers) for w in range(workers)]
 
@@ -570,9 +616,10 @@ def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
 def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial:
     """The one chunk loop behind every census, horizon and ladder.
 
-    chunks yields (letters, X, holos or None, primitive or None).  Per chunk
-    it folds the minimal stretch per letter into c_min, hands the chunk to
-    the sink, adds each family's count_grid into its block of counts (one
+    chunks yields (n, letters, X, holos or None, primitive or None), n the
+    word length and letters None when no sink reads them.  Per chunk it
+    folds the minimal stretch per letter into c_min, hands the chunk to the
+    sink, adds each family's count_grid into its block of counts (one
     row, or family.rows), and, when sector edges are given, bins the
     holonomy of the rows inside the first family's window per grid time.
     """
@@ -581,9 +628,9 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
     hist = None if edges is None else np.zeros((rep.d, grid.size, len(edges) - 1), dtype=np.int64)
     c_min = math.inf
     complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
-    for letters, X, holos, primitive in chunks:
-        norms = np.sqrt(np.sum(X * X, axis=1))
-        c_min = min(c_min, float(np.min(norms / letters.shape[1])))
+    for n, letters, X, holos, primitive in chunks:
+        norms = np.sqrt(_row_sq_sum(X))
+        c_min = min(c_min, float(np.min(norms / n)))
         if sink is not None:
             sink(letters, X, holos)
         keep = primitive if primitive_only else slice(None)
@@ -604,18 +651,27 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
     return _Partial(counts, c_min, hist)
 
 
+def _class_chunks(rep, L_max, shard, budget):
+    """iter_class_chunks in _tally's (n, letters, X, holos, primitive) form."""
+    for letters, lam, holos, primitive in iter_class_chunks(rep, L_max, shard=shard, budget=budget):
+        yield letters.shape[1], letters, lam, holos, primitive
+
+
 def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, shard, budget) -> _Partial:
-    chunks = iter_class_chunks(rep, L_max, shard=shard, budget=budget)
+    chunks = _class_chunks(rep, L_max, shard, budget)
     return _tally(rep, chunks, families, grid, primitive_only, None, sink)
 
 
 def _cartan_partial(rep, families, grid, L_max, sink, shard, budget) -> _Partial:
-    chunks = ((w, mu, None, None) for w, mu in iter_word_chunks(rep, L_max, shard=shard, budget=budget))
+    chunks = (
+        (n, None if sink is None else decode_words(rep.k, n, lo, hi), mu, None, None)
+        for n, lo, hi, mu in _word_stream(rep, L_max, shard=shard, budget=budget)
+    )
     return _tally(rep, chunks, families, grid, False, None, sink)
 
 
 def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard, budget) -> _Partial:
-    chunks = iter_class_chunks(rep, L_max, shard=shard, budget=budget)
+    chunks = _class_chunks(rep, L_max, shard, budget)
     return _tally(rep, chunks, families, grid, primitive_only, edges, sink)
 
 

@@ -53,6 +53,16 @@ def _load_config(path: str) -> dict:
         raise SchemaError(f"config file {path} is not valid JSON: {exc}") from None
 
 
+def _integer(key: str, value) -> int:
+    """A config field that counts something: an integer, or an integral
+    float; bools, strings and fractions are schema errors."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise SchemaError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_representation(doc, base_dir: Path) -> reps.Representation:
     if isinstance(doc, str):
         doc = _load_config(str(base_dir / doc))
@@ -134,7 +144,7 @@ def _direction(config, rep, key="direction"):
     if doc == "auto":
         if rep.d != 2:
             raise SchemaError("direction 'auto' needs exactly two factors")
-        dep = reps.detect_dependence(rep, int(config.get("L_probe", 8)))
+        dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
         return regions.unit([1.0, 0.5 * (dep.m_hat + dep.M_hat)]), dep
     if not isinstance(doc, list) or len(doc) != rep.d:
         raise SchemaError(f"'{key}' must be 'auto' or a list of length {rep.d}")
@@ -306,7 +316,7 @@ def run_validate(config, args, out: Path) -> int:
 def _series_run(config, args, out: Path, which: str) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
     grid = parse_grid(config["t_grid"])
-    L_max = int(config["L_max"])
+    L_max = _integer("L_max", config["L_max"])
     if args.dump_spectra and args.workers > 1:
         raise SchemaError("--dump-spectra needs --workers 1 (the dump is written in one process)")
     t0 = time.time()
@@ -374,13 +384,12 @@ def _series_run(config, args, out: Path, which: str) -> int:
 def _sector_edges(doc):
     if doc is None:
         return None
-    if isinstance(doc, int):
-        if doc < 1:
-            raise SchemaError("'sectors' bin count must be positive")
-        return list(np.linspace(0.0, math.pi, doc + 1))
     if isinstance(doc, list):
         return [float(x) for x in doc]
-    raise SchemaError("'sectors' must be a bin count or a list of edges")
+    bins = _integer("sectors", doc)
+    if bins < 1:
+        raise SchemaError("'sectors' bin count must be positive")
+    return list(np.linspace(0.0, math.pi, bins + 1))
 
 
 def run_ladder(config, args, out: Path) -> int:
@@ -395,7 +404,7 @@ def run_ladder(config, args, out: Path) -> int:
     if not isinstance(epsilons, list) or not epsilons:
         raise SchemaError("'epsilons' must be a nonempty decreasing list")
     ladder = fitting.growth_indicator_ladder(
-        rep, direction, [float(e) for e in epsilons], grid, int(config["L_max"]),
+        rep, direction, [float(e) for e in epsilons], grid, _integer("L_max", config["L_max"]),
         source, workers=args.workers, force=args.force,
     )
     write_ladder_csv(ladder, out / "ladder.csv")
@@ -421,11 +430,11 @@ def run_correlate(config, args, out: Path) -> int:
     if rep.d < 2:
         raise SchemaError("correlate needs at least two factors")
     grid = parse_grid(config["t_grid"])
-    L_max = int(config["L_max"])
+    L_max = _integer("L_max", config["L_max"])
     t0 = time.time()
     direction, dep = _direction(config, rep)
     if dep is None:
-        dep = reps.detect_dependence(rep, int(config.get("L_probe", 8)))
+        dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
     widths = config.get("widths")
     if not isinstance(widths, list) or len(widths) != rep.d:
         raise SchemaError(f"'widths' must be a list of length {rep.d}")
@@ -507,7 +516,7 @@ def _write_bounds(bounds, out: Path):
 def run_ratio(config, args, out: Path) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
     grid = parse_grid(config["t_grid"])
-    L_max = int(config["L_max"])
+    L_max = _integer("L_max", config["L_max"])
     t0 = time.time()
     family = parse_region(config["region"], rep.d)
     jordan = census.census_jordan(rep, family, grid, L_max, workers=args.workers, force=args.force)
@@ -555,14 +564,14 @@ def run_ratio(config, args, out: Path) -> int:
 def run_report(config, args, out: Path) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
     t0 = time.time()
-    L_max = int(config.get("L_max", 8))
+    L_max = _integer("L_max", config.get("L_max", 8))
     lines = [f"representation: d={rep.d} factors, rank k={rep.k}"]
     reports = reps.validate_representation(rep)
     for i, r in enumerate(reports):
         lines.append(f"factor {i}: ping-pong {'pass' if r.passed else 'FAIL'} margin={r.margin:.6g}")
     extra = {"validated": all(r.passed for r in reports)}
     if rep.d >= 2:
-        dep = reps.detect_dependence(rep, int(config.get("L_probe", 8)))
+        dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
         lines.append(
             f"dependence probe (core length <= {dep.probe_core_length}, {dep.n_classes} classes): "
             f"rank {dep.rank}/{rep.d} -> {'dependent' if dep.dependent else 'independent'}"
@@ -634,6 +643,8 @@ def main(argv: Optional[list] = None) -> int:
 
     config = None
     try:
+        if args.workers < 1:
+            raise SchemaError(f"--workers must be at least 1, got {args.workers}")
         config = _load_config(args.config)
         if "kind" in config and config["kind"] != args.command:
             raise SchemaError(

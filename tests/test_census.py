@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectra_census import census as cn
+from spectra_census import fitting as ft
 from spectra_census import group as gr
 from spectra_census import regions as rg
 from spectra_census import reps as rp
@@ -287,3 +288,15 @@ def test_int64_overflow_is_capacity_exceeded(real_pair, monkeypatch):
         cn.census_cartan(real_pair, cn.CoordinateRayFamily(0, 1), GRID, 45)
     # the largest rank-2 length whose top stratum still fits int64 passes the gate
     assert next(cn.iter_word_chunks(real_pair, 39, budget=10**30))[0].shape == (4, 1)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_rejected(real_pair, workers):
+    v = rg.unit([1.0])
+    grid = np.arange(2.0, 12.0, 0.5)
+    with pytest.raises(ValueError, match="workers"):
+        cn.census_cartan(real_pair, cn.TubeBallFamily(rg.TubeSpec(v, 0.5)), grid, 4, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        cn.completeness_horizon(real_pair, 4, "jordan", workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        ft.growth_indicator_ladder(real_pair, v, [1.0, 0.5], grid, 4, "cartan-tube", workers=workers)

@@ -322,3 +322,68 @@ def test_interrupt_and_worker_crash_write_error_record(tmp_path, monkeypatch, ex
     out = tmp_path / "out"
     assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == status
     assert json.loads((out / "error.json").read_text())["code"] == code
+
+
+CARTAN = {
+    "kind": "census-cartan",
+    "representation": PAIR,
+    "region": {"type": "tube", "direction": [1.0], "epsilon": 0.5},
+    "t_grid": {"t_min": 2.0, "t_max": 14.0, "step": 0.5},
+    "L_max": 4,
+}
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_rejected(tmp_path, workers):
+    cfg = write_config(tmp_path, "c.json", CARTAN)
+    out = tmp_path / "out"
+    assert cli.main(["census-cartan", "--config", str(cfg), "--out", str(out), "--workers", workers]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.SchemaError"
+    assert "--workers" in record["message"]
+    assert not (out / "MANIFEST.json").exists()
+
+
+BOX = {
+    "kind": "census-box",
+    "representation": {"builder": "schottky_pair", "stretch": 3, "separation": 3, "field": "complex",
+                       "twist": 0.9},
+    "direction": [1.0],
+    "widths": [0.8],
+    "sectors": 4,
+    "t_grid": {"t_min": 2.0, "t_max": 14.0, "step": 0.5},
+    "L_max": 4,
+}
+REPORT = {"kind": "report", "representation": TWO_FACTOR, "L_max": 4, "L_probe": 5}
+
+
+@pytest.mark.parametrize(
+    "doc, key, value",
+    [
+        (CARTAN, "L_max", 6.7),
+        (CARTAN, "L_max", True),
+        (CARTAN, "L_max", "4"),
+        (BOX, "sectors", True),
+        (BOX, "sectors", 2.5),
+        (REPORT, "L_probe", 5.5),
+        (REPORT, "L_max", 4.5),
+    ],
+)
+def test_integer_fields_must_be_integers(tmp_path, doc, key, value):
+    cfg = write_config(tmp_path, "c.json", dict(doc, **{key: value}))
+    out = tmp_path / "out"
+    assert cli.main([doc["kind"], "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.SchemaError"
+    assert repr(key) in record["message"] and repr(value) in record["message"]
+    assert not (out / "MANIFEST.json").exists()
+
+
+def test_integer_fields_accept_integral_values():
+    assert cli._integer("L_max", 6) == 6
+    assert cli._integer("L_max", 6.0) == 6
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+        doc = json.loads(path.read_text())
+        for key in ("L_max", "L_probe", "sectors"):
+            if key in doc:
+                assert cli._integer(key, doc[key]) == doc[key]

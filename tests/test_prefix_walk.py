@@ -1,11 +1,15 @@
 """The prefix-tree walks against word-by-word decoding, filtering and
-evaluation, byte for byte."""
+evaluation, and the struct-of-arrays 2x2 fold against its (m, 2, 2) form,
+byte for byte."""
+
+import math
 
 import numpy as np
 import pytest
 
 from spectra_census import algebra
 from spectra_census import census as cn
+from spectra_census import fitting
 from spectra_census import group as gr
 from spectra_census import regions as rg
 from spectra_census import reps as rp
@@ -22,10 +26,89 @@ def _random_factor(rng, k: int, field: str) -> rp.Factor:
 
 
 def _assert_same(got, want):
-    """(P, S) pairs equal byte for byte."""
+    """(P, S) pairs equal byte for byte; P may be a 4-tuple of entry arrays."""
+    assert len(got) == len(want)
     for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            assert isinstance(g, tuple)
+            _assert_same(g, w)
+            continue
         assert g.shape == w.shape
         assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
+
+
+def _soa(M: np.ndarray):
+    """An (m, 2, 2) array as the 4-tuple (p00, p01, p10, p11) of entry arrays."""
+    return tuple(M[:, i, j].copy() for i in (0, 1) for j in (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 fold in (m, 2, 2) form with stride-four entries: the oracle the
+# struct-of-arrays kernel replaces
+
+
+def _oracle_extend(P, S, B, logB):
+    a00, a01 = P[:, 0, 0], P[:, 0, 1]
+    a10, a11 = P[:, 1, 0], P[:, 1, 1]
+    b00, b01 = B[:, 0, 0], B[:, 0, 1]
+    b10, b11 = B[:, 1, 0], B[:, 1, 1]
+    Q = np.empty_like(P)
+    Q[:, 0, 0] = a00 * b00 + a01 * b10
+    Q[:, 0, 1] = a00 * b01 + a01 * b11
+    Q[:, 1, 0] = a10 * b00 + a11 * b10
+    Q[:, 1, 1] = a10 * b01 + a11 * b11
+    S = S + logB
+    A = np.abs(Q)
+    mx = np.maximum(np.maximum(A[:, 0, 0], A[:, 0, 1]), np.maximum(A[:, 1, 0], A[:, 1, 1]))
+    _, e = np.frexp(mx)
+    e = np.where((mx >= 0.5) & (mx <= 2.0), 0, e).astype(np.int32)
+    Q /= np.ldexp(1.0, e)[:, None, None]
+    S += e * math.log(2.0)
+    return Q, S
+
+
+def _oracle_evaluate(letters, mats, logs):
+    P = mats[letters[:, 0]]
+    S = logs[letters[:, 0]]
+    for j in range(1, letters.shape[1]):
+        P, S = _oracle_extend(P, S, mats[letters[:, j]], logs[letters[:, j]])
+    return P, S
+
+
+def _oracle_cartan(P, S):
+    fro2 = np.sum(np.abs(P) ** 2, axis=(1, 2))
+    h = 2.0 * S + np.log(fro2) - math.log(2.0)
+    h = np.maximum(h, 0.0)
+    return h + np.log1p(np.sqrt(-np.expm1(-2.0 * h)))
+
+
+def _oracle_jordan(P, S, is_complex, tol=algebra.DEFAULT_TOL):
+    t = P[:, 0, 0] + P[:, 1, 1]
+    det = np.exp(-2.0 * S)
+    if is_complex:
+        r = np.sqrt(t * t - 4.0 * det + 0j)
+        lam_p, lam_m = t + r, t - r
+        lam = np.where(np.abs(lam_p) >= np.abs(lam_m), lam_p, lam_m) * 0.5
+        mod = np.abs(lam)
+        bad = ~(S + np.log(np.where(mod > 0, mod, 1.0)) > math.log(1.0 + tol)) | (mod == 0.0)
+        if bad.any():
+            raise algebra.NonLoxodromic(f"{int(bad.sum())} non-loxodromic products in a complex factor")
+        return 2.0 * (S + np.log(mod)), np.angle(lam) % math.pi
+    ta = np.abs(t)
+    bad = ~(S + np.log(np.where(ta > 0, ta, 1.0)) > math.log(2.0 + tol)) | (ta == 0.0)
+    if bad.any():
+        raise algebra.NonLoxodromic(f"{int(bad.sum())} non-loxodromic products in a real factor")
+    lam = 0.5 * (ta + np.sqrt(ta * ta - 4.0 * det))
+    return 2.0 * (S + np.log(lam)), None
+
+
+def _outcome(jordan, P, S, is_complex):
+    """jordan(P, S, is_complex), or the message of the NonLoxodromic it raises."""
+    try:
+        lengths, holos = jordan(P, S, is_complex)
+    except algebra.NonLoxodromic as exc:
+        return str(exc)
+    return lengths, holos
 
 
 def _ranges(total: int, chunk: int, offset: int):
@@ -41,6 +124,7 @@ def _ranges(total: int, chunk: int, offset: int):
 def test_prefix_walk_is_bit_identical(k, n_max, field):
     rng = np.random.default_rng(1000 * k + n_max)
     mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
+    mats = _soa(mats)
     for n in range(1, n_max + 1):
         total = gr.stratum_size(k, n)
         P, S = cn.evaluate_chunk(cn.decode_words(k, n, 0, total), mats, logs)
@@ -49,7 +133,57 @@ def test_prefix_walk_is_bit_identical(k, n_max, field):
             for lo, hi in _ranges(total, chunk, offset=min(5, total - 1)):
                 if lo == hi:
                     continue
-                _assert_same(cn.prefix_walk(k, n, lo, hi, mats, logs), (P[lo:hi], S[lo:hi]))
+                _assert_same(
+                    cn.prefix_walk(k, n, lo, hi, mats, logs), (tuple(x[lo:hi] for x in P), S[lo:hi])
+                )
+
+
+@pytest.mark.parametrize("field", [algebra.REAL, algebra.COMPLEX])
+@pytest.mark.parametrize("k, n_max", [(2, 10), (3, 7)])
+def test_soa_kernel_matches_stride_four_oracle(k, n_max, field):
+    rng = np.random.default_rng(7000 + 1000 * k + n_max)
+    mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
+    images = _soa(mats)
+    is_complex = field == algebra.COMPLEX
+    for n in range(1, n_max + 1):
+        total = gr.stratum_size(k, n)
+        letters = cn.decode_words(k, n, 0, total)
+        P, S = _oracle_evaluate(letters, mats, logs)
+        want = (_soa(P), S)
+        for got in (cn.evaluate_chunk(letters, images, logs), cn.prefix_walk(k, n, 0, total, images, logs)):
+            _assert_same(got, want)
+        _assert_same((cn.cartan_chunk(*want),), (_oracle_cartan(P, S),))
+        # the loxodromic rows, where jordan_chunk returns spectra, then the
+        # whole stratum, which may raise
+        t = np.abs(P[:, 0, 0] + P[:, 1, 1])
+        lox = S + np.log(np.where(t > 0, t, 1.0)) > math.log(2.5)
+        assert n == 1 or lox.any()
+        for rows in (lox, slice(None)):
+            got = _outcome(cn.jordan_chunk, tuple(x[rows] for x in want[0]), S[rows], is_complex)
+            expected = _outcome(_oracle_jordan, P[rows], S[rows], is_complex)
+            if isinstance(expected, str):
+                assert got == expected
+                continue
+            assert not isinstance(got, str)
+            _assert_same(got[:1], expected[:1])
+            if is_complex:
+                _assert_same(got[1:], expected[1:])
+            else:
+                assert got[1] is None and expected[1] is None
+
+
+def test_cartan_path_decodes_no_word(monkeypatch, two_factor_rep):
+    def no_decode(*args):
+        raise AssertionError("the Cartan path decoded words")
+
+    monkeypatch.setattr(cn, "decode_words", no_decode)
+    v = rg.unit([1.0, 1.4])
+    grid = np.arange(2.0, 24.0, 0.61) + 0.017
+    series = cn.census_cartan(two_factor_rep, cn.TubeBallFamily(rg.TubeSpec(v, 1.3)), grid, 7)
+    assert series.counts[-1] > 0
+    ladder = fitting.growth_indicator_ladder(two_factor_rep, v, [1.6, 1.1], grid, 7, "cartan-tube")
+    assert ladder.c_min_hat == series.c_min_hat
+    assert cn.completeness_horizon(two_factor_rep, 7, "cartan")[1] == series.c_min_hat
 
 
 def test_word_chunks_independent_of_chunk_size(two_factor_rep):

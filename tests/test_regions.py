@@ -348,3 +348,34 @@ def test_zero_vector_in_closed_tube_not_in_open_cone():
     assert cn.ConeBallFamily(cone).count_grid(X, grid).tolist() == [0, 0, 0]
     assert cn.ApertureLadderFamily([tube]).count_grid(X, grid).tolist() == [[1, 1, 1]]
     assert cn.ApertureLadderFamily([cone]).count_grid(X, grid).tolist() == [[0, 0, 0]]
+
+
+# ---------------------------------------------------------------------------
+# column folds against numpy's row reductions
+
+spread = st.builds(
+    lambda mant, exp, sign: sign * mant * 10.0**exp,
+    st.floats(min_value=1.0, max_value=10.0),
+    st.integers(-3, 2),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@st.composite
+def wide_cloud(draw):
+    """Points (m, d), d = 1..9, with coordinates of magnitude 1e-3..1e3."""
+    d = draw(st.integers(1, 9))
+    return np.array(draw(st.lists(st.lists(spread, min_size=d, max_size=d), min_size=1, max_size=40)))
+
+
+@PROPERTY
+@given(wide_cloud())
+def test_row_folds_equal_numpy_row_reductions(X):
+    got = cn._row_sq_sum(X)
+    assert np.array_equal(got.view(np.uint64), np.sum(X * X, axis=1).view(np.uint64))
+    assert np.array_equal(cn._row_nonneg(X), np.all(X >= 0.0, axis=1))
+    d = X.shape[1]
+    family = cn.BoxWindowFamily(np.linspace(0.5, 1.5, d), np.linspace(0.2, 2.0, d))
+    lo, hi = family.window(X)
+    assert np.array_equal(lo, np.max((X - family.widths) / family.direction, axis=1))
+    assert np.array_equal(hi, np.min(X / family.direction, axis=1))
