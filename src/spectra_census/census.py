@@ -24,7 +24,12 @@ keeps each 2x2 in struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of
 contiguous 1-d arrays, for words and necklaces, real and complex alike.
 
 The Cartan stream (_word_stream) folds each chunk of word indices down the
-prefix tree and never decodes it: _tally needs only the word length, and
+prefix tree (prefix_walk) and never decodes it.  The deep levels of the
+tree are folded in blocks of at most BLOCK rows, each reduced to its
+Cartan projections at once, so no array of the walk grows past a block:
+the cost of a CHUNK-long step was page faults, not arithmetic, as the
+allocator returned each step's freed temporaries to the kernel and the
+next step faulted them back in.  _tally needs only the word length, and
 the letters are decoded (decode_words) only for a spectra sink, or for
 iter_word_chunks.  The Jordan stream, one necklace per conjugacy class,
 walks the same tree but keeps only prenecklaces by their FKM state
@@ -39,8 +44,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -52,6 +55,7 @@ from .group import CapacityExceeded, _check_budget, stratum_size  # noqa: F401
 from .reps import PingPongFailure, Representation, generator_arrays, validate_representation
 
 CHUNK = 1 << 15
+BLOCK = 1 << 12
 LN2 = math.log(2.0)
 
 KIND_JORDAN = "jordan-classes"
@@ -376,7 +380,7 @@ def _extend(P, S: np.ndarray, B, logB: np.ndarray):
 
 def _gather(P, idx: np.ndarray):
     """The items idx of a struct-of-arrays 2x2 (or generator images)."""
-    return tuple(np.take(x, idx) for x in P)
+    return tuple(x.take(idx) for x in P)
 
 
 def evaluate_chunk(letters: np.ndarray, images, logs: np.ndarray):
@@ -396,7 +400,9 @@ def evaluate_chunk(letters: np.ndarray, images, logs: np.ndarray):
 
 def prefix_walk(k: int, n: int, start: int, stop: int, images, logs: np.ndarray):
     """evaluate_chunk(decode_words(k, n, start, stop), images, logs), folded
-    down the prefix tree instead of word by word.
+    down the prefix tree instead of word by word, and yielded as (offset, P,
+    S) for consecutive blocks of at most BLOCK rows, offset the first row's
+    position in [start, stop).
 
     At depth j the ancestors of the rows form the contiguous index range
     [start // b^(n-j), (stop-1) // b^(n-j) + 1) of stratum j, with b = 2k-1.
@@ -404,24 +410,47 @@ def prefix_walk(k: int, n: int, start: int, stop: int, images, logs: np.ndarray)
     above by one _extend step per node, so a word costs about b/(b-1)
     products instead of n-1, and its (P, S), P the 4-tuple (p00, p01, p10,
     p11) of entry arrays in the order cartan_chunk sums them, is
-    bit-identical to evaluate_chunk's.
+    bit-identical to evaluate_chunk's: the blocks, concatenated in order,
+    are evaluate_chunk's (P, S).
+
+    The levels are folded once down to the deepest one whose nodes fit in
+    BLOCK rows; the rest is folded from runs of those nodes, each run the
+    ancestors of at most BLOCK leaves.  The blocks are for the pages, not
+    the flops: a step over a whole CHUNK frees megabytes of temporaries,
+    which the allocator hands back to the kernel and the next step faults
+    in again, while a block's temporaries are reused from the heap.
     """
     table = _letter_table(k).astype(np.intp)
     base = 2 * k - 1
+
+    def fold(P, S, last, pw, start, stop):
+        # (first leaf, P, S) per block of the leaves [start, stop), from the
+        # level of their ancestors, last letters last, pw leaves per node
+        lo = start // pw
+        while pw > 1:
+            child = pw // base
+            child_lo, child_hi = start // child, (stop - 1) // child + 1
+            if child_hi - child_lo > BLOCK and last.size > 1:
+                g = max(1, BLOCK // pw)  # one node when pw exceeds BLOCK
+                for i in range(0, last.size, g):
+                    run = slice(i, i + g)
+                    yield from fold(
+                        tuple(x[run] for x in P), S[run], last[run], pw,
+                        max(start, (lo + i) * pw), min(stop, (lo + i + g) * pw),
+                    )
+                return
+            # the children of nodes lo.. are lo*base.., base per node
+            r0, r1 = child_lo - lo * base, child_hi - lo * base
+            parent = np.arange(r0, r1) // base
+            last = table.take(last, axis=0).ravel()[r0:r1]
+            P, S = _extend(_gather(P, parent), S.take(parent), _gather(images, last), logs.take(last))
+            pw, lo = child, child_lo
+        yield start, P, S
+
     pw = base ** (n - 1)
-    lo = start // pw
-    last = np.arange(lo, (stop - 1) // pw + 1)
-    P, S = _gather(images, last), logs[last]
-    for _ in range(1, n):
-        pw //= base
-        child_lo = start // pw
-        # the children of nodes lo.. are lo*base.., base per node
-        rows = slice(child_lo - lo * base, (stop - 1) // pw + 1 - lo * base)
-        parent = np.repeat(np.arange(last.size), base)[rows]
-        last = np.take(table, last, axis=0).ravel()[rows]
-        P, S = _extend(_gather(P, parent), np.take(S, parent), _gather(images, last), np.take(logs, last))
-        lo = child_lo
-    return P, S
+    last = np.arange(start // pw, (stop - 1) // pw + 1)
+    for first, P, S in fold(_gather(images, last), logs[last], last, pw, start, stop):
+        yield first - start, P, S
 
 
 def necklace_walk(k: int, n: int, start: int, stop: int):
@@ -531,7 +560,8 @@ def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
     for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
         mu = np.empty((hi - lo, rep.d))
         for i, (mats, logs) in enumerate(images):
-            mu[:, i] = cartan_chunk(*prefix_walk(rep.k, n, lo, hi, mats, logs))
+            for off, P, S in prefix_walk(rep.k, n, lo, hi, mats, logs):
+                mu[off : off + S.size, i] = cartan_chunk(P, S)
         yield n, lo, hi, mu
 
 
@@ -679,6 +709,11 @@ def _run_sharded(task: Callable, workers: int) -> _Partial:
     shards = _shards(workers)
     if len(shards) == 1:
         return task(shards[0])
+    # imported here: a one-process run never needs the pool, and the import
+    # costs tens of milliseconds of start-up
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(task, shards))

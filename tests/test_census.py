@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -266,6 +268,24 @@ def test_jordan_census_trivial_edges(real_pair):
     assert below_min.counts == (0,)
     everything = cn.census_jordan(real_pair, family, np.array([1e9]), 6)
     assert everything.counts[0] == len(list(gr.enumerate_conjugacy_classes(2, 6)))
+
+
+def test_one_process_run_imports_no_process_pool():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import spectra_census.cli\n"
+        "from spectra_census import census as cn, regions as rg, reps as rp\n"
+        "family = cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0]), 1.3))\n"
+        "cn.census_cartan(rp.schottky_pair(3.0, 3.0), family, np.array([5.0, 9.0]), 6, workers=1)\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(cn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _die(shard):

@@ -111,6 +111,17 @@ def _outcome(jordan, P, S, is_complex):
     return lengths, holos
 
 
+def _walk(k, n, lo, hi, mats, logs):
+    """prefix_walk's blocks, checked to tile [lo, hi) in order with 1..BLOCK
+    rows each, concatenated into one (P, S)."""
+    blocks = list(cn.prefix_walk(k, n, lo, hi, mats, logs))
+    assert [b[0] for b in blocks] == [0] + list(np.cumsum([b[2].size for b in blocks[:-1]]))
+    assert all(1 <= b[2].size <= cn.BLOCK and all(x.size == b[2].size for x in b[1]) for b in blocks)
+    assert sum(b[2].size for b in blocks) == hi - lo
+    P = tuple(np.concatenate([b[1][j] for b in blocks]) for j in range(4))
+    return P, np.concatenate([b[2] for b in blocks])
+
+
 def _ranges(total: int, chunk: int, offset: int):
     """Unaligned [lo, hi) chunks; small chunks only near the ends and middle."""
     cuts = list(range(offset, total, chunk))
@@ -128,14 +139,29 @@ def test_prefix_walk_is_bit_identical(k, n_max, field):
     for n in range(1, n_max + 1):
         total = gr.stratum_size(k, n)
         P, S = cn.evaluate_chunk(cn.decode_words(k, n, 0, total), mats, logs)
-        _assert_same(cn.prefix_walk(k, n, 0, total, mats, logs), (P, S))
-        for chunk in (1, 7, 1000, cn.CHUNK):
+        _assert_same(_walk(k, n, 0, total, mats, logs), (P, S))
+        for chunk in (1, 7, 1000, 4095, 4097, cn.CHUNK):
             for lo, hi in _ranges(total, chunk, offset=min(5, total - 1)):
                 if lo == hi:
                     continue
-                _assert_same(
-                    cn.prefix_walk(k, n, lo, hi, mats, logs), (tuple(x[lo:hi] for x in P), S[lo:hi])
-                )
+                _assert_same(_walk(k, n, lo, hi, mats, logs), (tuple(x[lo:hi] for x in P), S[lo:hi]))
+
+
+@pytest.mark.parametrize("block", [6, 10, 50])
+@pytest.mark.parametrize("k, n_max", [(2, 9), (3, 6)])
+def test_prefix_walk_blocks_tile_any_block_size(monkeypatch, k, n_max, block):
+    # blocks far below the default split runs of single nodes whose leaves
+    # outnumber a block, and split them again further down
+    monkeypatch.setattr(cn, "BLOCK", block)
+    rng = np.random.default_rng(3000 + 100 * k + block)
+    mats, logs = rp.generator_arrays(_random_factor(rng, k, algebra.COMPLEX), k)
+    mats = _soa(mats)
+    for n in range(1, n_max + 1):
+        total = gr.stratum_size(k, n)
+        P, S = cn.evaluate_chunk(cn.decode_words(k, n, 0, total), mats, logs)
+        for lo, hi in [(0, total), (1, total - 1), (total // 3, total // 3 + 1), (5, min(total, 301))]:
+            if lo < hi:
+                _assert_same(_walk(k, n, lo, hi, mats, logs), (tuple(x[lo:hi] for x in P), S[lo:hi]))
 
 
 @pytest.mark.parametrize("field", [algebra.REAL, algebra.COMPLEX])
@@ -150,7 +176,7 @@ def test_soa_kernel_matches_stride_four_oracle(k, n_max, field):
         letters = cn.decode_words(k, n, 0, total)
         P, S = _oracle_evaluate(letters, mats, logs)
         want = (_soa(P), S)
-        for got in (cn.evaluate_chunk(letters, images, logs), cn.prefix_walk(k, n, 0, total, images, logs)):
+        for got in (cn.evaluate_chunk(letters, images, logs), _walk(k, n, 0, total, images, logs)):
             _assert_same(got, want)
         _assert_same((cn.cartan_chunk(*want),), (_oracle_cartan(P, S),))
         # the loxodromic rows, where jordan_chunk returns spectra, then the
@@ -187,14 +213,34 @@ def test_cartan_path_decodes_no_word(monkeypatch, two_factor_rep):
 
 
 def test_word_chunks_independent_of_chunk_size(two_factor_rep):
-    def stream(**kw):
-        chunks = list(cn.iter_word_chunks(two_factor_rep, 7, **kw))
+    def stream(L_max, **kw):
+        chunks = list(cn.iter_word_chunks(two_factor_rep, L_max, **kw))
         return np.concatenate([c[0].ravel() for c in chunks]), np.concatenate([c[1] for c in chunks])
 
-    letters, mu = stream()
-    letters7, mu7 = stream(chunk=7)
-    assert np.array_equal(letters, letters7)
-    assert np.array_equal(mu.view(np.uint8), mu7.view(np.uint8))
+    # at L_max 10 the strata span several chunks and blocks
+    for L_max, sizes in [(7, (7,)), (10, (7, 4097))]:
+        letters, mu = stream(L_max)
+        for chunk in sizes:
+            letters_c, mu_c = stream(L_max, chunk=chunk)
+            assert np.array_equal(letters, letters_c)
+            assert np.array_equal(mu.view(np.uint8), mu_c.view(np.uint8))
+
+
+def test_cartan_walk_folds_in_blocks(monkeypatch, real_pair):
+    # a deterministic stand-in for the walk's page faults: no 2x2 step of
+    # the Cartan walk runs over more than a block of rows
+    seen = []
+    extend = cn._extend
+
+    def counted(P, S, B, logB):
+        seen.append(S.size)
+        return extend(P, S, B, logB)
+
+    monkeypatch.setattr(cn, "_extend", counted)
+    grid = np.arange(2.0, 24.0, 0.61) + 0.017
+    cn.census_cartan(real_pair, cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0]), 1.3)), grid, 11)
+    assert sum(seen) > gr.stratum_size(2, 11)
+    assert max(seen) <= cn.BLOCK
 
 
 def test_cartan_census_independent_of_workers(two_factor_rep):
