@@ -79,6 +79,7 @@ from .reps import (  # noqa: F401
     SchemaError,
     SpectrumVector,
     ValidationReport,
+    defect_constant,
     detect_dependence,
     evaluate,
     join,

@@ -2,10 +2,9 @@
 
 Streams reduced words / conjugacy-class necklaces through a representation
 in fixed-size chunks, evaluates per-factor matrix products vectorized over
-the chunk, and classifies the resulting spectrum vectors against region
-families over a T-grid: one count row per family, or per aperture for a
-ladder family.  A tube or cone ball is the one-rung ladder, so both
-regions have one implementation, ApertureLadderFamily.count_grid.
+the chunk, and classifies the resulting spectrum vectors against the region
+families of regions.py over a T-grid: one count row per family, or per
+aperture for a ladder family.
 
 _tally is the one chunk loop: every census, the completeness horizon and
 the growth-indicator ladder run through it.  _jordan_partial,
@@ -24,15 +23,17 @@ keeps each 2x2 in struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of
 contiguous 1-d arrays, for words and necklaces, real and complex alike.
 
 The Cartan stream (_word_stream) folds each chunk of word indices down the
-prefix tree (prefix_walk) and never decodes it.  The deep levels of the
-tree are folded in blocks of at most BLOCK rows, each reduced to its
-Cartan projections at once, so no array of the walk grows past a block:
-the cost of a CHUNK-long step was page faults, not arithmetic, as the
-allocator returned each step's freed temporaries to the kernel and the
-next step faulted them back in.  _tally needs only the word length, and
+prefix tree, every factor together (_fold_walk), and never decodes it.
+The deep levels of the tree are folded in blocks of at most BLOCK rows,
+each reduced to its Cartan projections at once, so no array of the walk
+grows past a block: the cost of a CHUNK-long step was page faults, not
+arithmetic, as the allocator returned each step's freed temporaries to the
+kernel and the next step faulted them back in.  A census drops the
+subtrees no grid point can count (_Pruning), by the certified defect
+constants of reps.defect_constant.  _tally needs only the word length, and
 the letters are decoded (decode_words) only for a spectra sink, or for
-iter_word_chunks.  The Jordan stream, one necklace per conjugacy class,
-walks the same tree but keeps only prenecklaces by their FKM state
+iter_word_chunks; both walk every word.  The Jordan stream, one necklace
+per conjugacy class, walks the same tree but keeps only prenecklaces by their FKM state
 (necklace_walk), so its cost scales with the classes rather than the
 words; the survivors are evaluated word by word (evaluate_chunk).
 canonical_mask and periods, necklace filters over whole decoded rows, are
@@ -49,10 +50,27 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import algebra, regions
+from . import algebra
+from .regions import (  # noqa: F401  (the region families, re-exported)
+    ApertureLadderFamily,
+    BoxWindowFamily,
+    ConeBallFamily,
+    CoordinateRayFamily,
+    TruncatedTubeFamily,
+    TubeBallFamily,
+    _col_sq_sum,
+    _row_nonneg,
+    _row_sq_sum,
+)
 from .errors import SpectraCensusError
 from .group import CapacityExceeded, _check_budget, stratum_size  # noqa: F401
-from .reps import PingPongFailure, Representation, generator_arrays, validate_representation
+from .reps import (
+    PingPongFailure,
+    Representation,
+    defect_constant,
+    generator_arrays,
+    validate_representation,
+)
 
 CHUNK = 1 << 15
 BLOCK = 1 << 12
@@ -123,172 +141,6 @@ class HolonomyHistogram:
             raise ValueError("sector_edges must cover [0, pi] exactly")
         if len(self.counts) != len(e) - 1:
             raise ValueError("need one count per sector")
-
-
-# ---------------------------------------------------------------------------
-# region families: vectorized classification against a T-grid
-#
-# Per-row reductions over the narrow (m, d) spectrum arrays are left folds
-# over the d columns: one pass per column instead of a short reduction per
-# row, with the same floats as numpy's row reductions.
-
-
-def _row_sq_sum(X: np.ndarray) -> np.ndarray:
-    """np.sum(X * X, axis=1), bit for bit."""
-    if X.shape[1] >= 8:  # numpy sums eight or more terms pairwise, not left to right
-        return np.sum(X * X, axis=1)
-    return functools.reduce(np.add, (c * c for c in X.T))
-
-
-def _row_nonneg(X: np.ndarray) -> np.ndarray:
-    """np.all(X >= 0.0, axis=1)."""
-    return functools.reduce(np.logical_and, (c >= 0.0 for c in X.T))
-
-
-class ApertureLadderFamily:
-    """Tube or cone balls {x in region_j : ||x|| <= T}, one row per spec j,
-    cumulative in T.
-
-    Each item's norm and aperture value (distance to the line, or angle to
-    the ray) are computed once per chunk; row j counts specs[j], closed for
-    tubes, open for cones, inside the closed positive orthant.  This is the
-    one implementation of both regions: a single tube or cone ball is the
-    one-rung ladder.
-    """
-
-    cumulative = True
-
-    def __init__(self, specs: Sequence):
-        shapes = {(type(s), s.direction, getattr(s, "offset", None)) for s in specs}
-        if len(shapes) != 1 or not isinstance(specs[0], (regions.TubeSpec, regions.ConeSpec)):
-            raise ValueError("specs must be TubeSpecs or ConeSpecs of one direction and offset")
-        self.tube = isinstance(specs[0], regions.TubeSpec)
-        self.specs = tuple(specs)
-        self.rows = len(specs)
-        self.region_id = "ladder[" + ";".join(regions.region_id(s) for s in specs) + "]"
-
-    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.specs[0].direction)
-        norms = np.sqrt(_row_sq_sum(X))
-        good = _row_nonneg(X)
-        if self.tube:
-            u = X - np.asarray(self.specs[0].offset)
-            value = np.sqrt(_row_sq_sum(u - np.outer(u @ v, v)))
-        else:
-            good &= norms > 0.0
-            cosang = np.ones_like(norms)
-            np.divide(X @ v, norms, out=cosang, where=good)
-            value = np.arccos(np.clip(cosang, -1.0, 1.0))
-        value[~good] = np.inf
-        inside = [value <= s.epsilon if self.tube else value < s.half_angle for s in self.specs]
-        rows = [np.searchsorted(np.sort(norms[m]), grid, side="right") for m in inside]
-        return np.array(rows, dtype=np.int64)
-
-
-class _Ball(ApertureLadderFamily):
-    """The one-rung ladder of spec, counted as a single row."""
-
-    def __init__(self, spec):
-        super().__init__([spec])
-        self.spec = spec
-        self.region_id = regions.region_id(spec)
-
-    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        return super().count_grid(X, grid)[0]
-
-
-class TubeBallFamily(_Ball):
-    """{x in tube : ||x|| <= T}, cumulative in T: the one-rung tube ladder."""
-
-
-class ConeBallFamily(_Ball):
-    """{x in open cone : ||x|| <= T}, cumulative in T: the one-rung cone ladder."""
-
-
-class BoxWindowFamily:
-    """Moving box prod_i [v_i T, v_i T + eps_i]; not cumulative."""
-
-    cumulative = False
-
-    def __init__(self, direction: Sequence[float], widths: Sequence[float]):
-        v = np.asarray(direction, dtype=float)
-        w = np.asarray(widths, dtype=float)
-        if v.shape != w.shape or v.ndim != 1:
-            raise ValueError("direction and widths must be 1-d and equal length")
-        if np.any(v <= 0.0) or np.any(w <= 0.0):
-            raise ValueError("direction and widths must be strictly positive")
-        self.direction = v
-        self.widths = w
-        self.region_id = regions.region_id(
-            regions.BoxWindow(tuple(v), tuple(w), 0.0)
-        )
-
-    def window(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per row, the closed interval of T for which the row is in the box."""
-        cols = list(zip(X.T, self.widths, self.direction))
-        lo = functools.reduce(np.maximum, ((c - w) / v for c, w, v in cols))
-        hi = functools.reduce(np.minimum, (c / v for c, w, v in cols))
-        return lo, hi
-
-    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        lo, hi = self.window(X)
-        ok = lo <= hi
-        lo, hi = np.sort(lo[ok]), np.sort(hi[ok])
-        started = np.searchsorted(lo, grid, side="right")
-        ended = np.searchsorted(hi, grid, side="left")
-        return (started - ended).astype(np.int64)
-
-    def member_mask(self, X: np.ndarray, t: float) -> np.ndarray:
-        lo, hi = self.window(X)
-        return (lo <= t) & (t <= hi)
-
-
-class CoordinateRayFamily:
-    """{x : x_i <= T}: rank-one counting of a single factor, cumulative."""
-
-    cumulative = True
-
-    def __init__(self, index: int, d: int):
-        if not 0 <= index < d:
-            raise ValueError("factor index out of range")
-        self.index = index
-        self.region_id = f"ray[coord={index}]"
-
-    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        vals = np.sort(X[:, self.index])
-        return np.searchsorted(vals, grid, side="right").astype(np.int64)
-
-
-class TruncatedTubeFamily:
-    """Family T_{T,b} over the grid for the box-difference truncation profiles.
-
-    The cross-section is left unbounded: the upper-minus-lower difference
-    count is insensitive to it (outside the box shadow the two profiles
-    cross and the slab difference is empty), which is the identity the
-    moving-box census is checked against.
-    """
-
-    cumulative = True
-
-    def __init__(self, direction: Sequence[float], widths: Sequence[float], side: str):
-        if side not in ("upper", "lower"):
-            raise ValueError("side must be 'upper' or 'lower'")
-        self.direction = np.asarray(regions.unit(direction), dtype=float)
-        self.widths = np.asarray(widths, dtype=float)
-        self.side = side
-        self.region_id = f"ttube[{side};v=({','.join(format(x, '.6g') for x in self.direction)})]"
-
-    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
-        v = self.direction
-        t = X @ v
-        U = X - np.outer(t, v)
-        if self.side == "upper":
-            b = functools.reduce(np.minimum, ((w - c) / vi for c, w, vi in zip(U.T, self.widths, v)))
-        else:
-            b = functools.reduce(np.maximum, (-c / vi for c, vi in zip(U.T, v)))
-        keep = (t >= 0.0) & _row_nonneg(X)
-        vals = np.sort((t - b)[keep])
-        return np.searchsorted(vals, grid, side="right").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -402,55 +254,97 @@ def prefix_walk(k: int, n: int, start: int, stop: int, images, logs: np.ndarray)
     """evaluate_chunk(decode_words(k, n, start, stop), images, logs), folded
     down the prefix tree instead of word by word, and yielded as (offset, P,
     S) for consecutive blocks of at most BLOCK rows, offset the first row's
-    position in [start, stop).
+    position in [start, stop): the one-factor, unpruned view of _fold_walk.
+    """
+    offset = 0
+    for ((P, S),) in _fold_walk(k, n, start, stop, [(images, logs)]):
+        yield offset, P, S
+        offset += S.size
 
-    At depth j the ancestors of the rows form the contiguous index range
+
+def _fold_walk(k: int, n: int, start: int, stop: int, factors, bound=None):
+    """Per block of leaves of [start, stop) in stratum n, in index order, one
+    (P, S) per factor: the renormalized products of the words, folded down
+    the prefix tree, every factor together.
+
+    At depth j the ancestors of the leaves form the contiguous index range
     [start // b^(n-j), (stop-1) // b^(n-j) + 1) of stratum j, with b = 2k-1.
     Depth 1 is the generator images; each deeper level extends the level
     above by one _extend step per node, so a word costs about b/(b-1)
     products instead of n-1, and its (P, S), P the 4-tuple (p00, p01, p10,
     p11) of entry arrays in the order cartan_chunk sums them, is
-    bit-identical to evaluate_chunk's: the blocks, concatenated in order,
-    are evaluate_chunk's (P, S).
+    bit-identical to evaluate_chunk's.  Only the first and the last node of
+    a level can have children outside the range.
 
-    The levels are folded once down to the deepest one whose nodes fit in
-    BLOCK rows; the rest is folded from runs of those nodes, each run the
-    ancestors of at most BLOCK leaves.  The blocks are for the pages, not
-    the flops: a step over a whole CHUNK frees megabytes of temporaries,
-    which the allocator hands back to the kernel and the next step faults
-    in again, while a block's temporaries are reused from the heap.
+    A level is folded whole while its children fit in BLOCK rows; past that
+    its nodes are split into runs whose children do, and each run is
+    descended in turn, so no array of the walk exceeds a block.  The blocks
+    are for the pages, not the flops: a step over a whole CHUNK frees
+    megabytes of temporaries, which the allocator hands back to the kernel
+    and the next step faults in again, while a block's temporaries are
+    reused from the heap.
+
+    bound, a _Pruning, drops the internal nodes none of whose leaves it can
+    need, with the whole subtree below them; a level that loses no node is
+    not gathered.  Without a bound every leaf is yielded, and the blocks,
+    concatenated, are evaluate_chunk's (P, S) for each factor.
     """
     table = _letter_table(k).astype(np.intp)
     base = 2 * k - 1
 
-    def fold(P, S, last, pw, start, stop):
-        # (first leaf, P, S) per block of the leaves [start, stop), from the
-        # level of their ancestors, last letters last, pw leaves per node
-        lo = start // pw
-        while pw > 1:
+    def survivors(evals, last, j, left, right):
+        # the rows at depth j that the bound keeps, with the end flags of the
+        # survivors, or None when no row survives
+        keep = bound.alive(evals, n, j)
+        if keep is None:
+            return evals, last, left, right
+        idx = np.flatnonzero(keep)
+        if not idx.size:
+            return None
+        evals = [(_gather(P, idx), S.take(idx)) for P, S in evals]
+        return evals, last.take(idx), left and keep[0], right and keep[-1]
+
+    def descend(j, evals, last, left, right):
+        # left / right: the first / last row is the first / last node of
+        # the range at depth j, whose outer children are clipped
+        while j < n:
+            pw = base ** (n - j)  # leaves per node at depth j
             child = pw // base
-            child_lo, child_hi = start // child, (stop - 1) // child + 1
-            if child_hi - child_lo > BLOCK and last.size > 1:
-                g = max(1, BLOCK // pw)  # one node when pw exceeds BLOCK
+            r0 = start // child - start // pw * base if left else 0
+            r1 = last.size * base
+            if right:
+                r1 -= (stop - 1) // pw * base + base - 1 - (stop - 1) // child
+            if r1 - r0 > BLOCK and last.size > 1:
+                g = max(1, BLOCK // base)
                 for i in range(0, last.size, g):
                     run = slice(i, i + g)
-                    yield from fold(
-                        tuple(x[run] for x in P), S[run], last[run], pw,
-                        max(start, (lo + i) * pw), min(stop, (lo + i + g) * pw),
+                    yield from descend(
+                        j, [(tuple(x[run] for x in P), S[run]) for P, S in evals], last[run],
+                        left and i == 0, right and i + g >= last.size,
                     )
                 return
-            # the children of nodes lo.. are lo*base.., base per node
-            r0, r1 = child_lo - lo * base, child_hi - lo * base
             parent = np.arange(r0, r1) // base
             last = table.take(last, axis=0).ravel()[r0:r1]
-            P, S = _extend(_gather(P, parent), S.take(parent), _gather(images, last), logs.take(last))
-            pw, lo = child, child_lo
-        yield start, P, S
+            evals = [
+                _extend(_gather(P, parent), S.take(parent), _gather(images, last), logs.take(last))
+                for (P, S), (images, logs) in zip(evals, factors)
+            ]
+            j += 1
+            if bound is not None and j < n:
+                kept = survivors(evals, last, j, left, right)
+                if kept is None:
+                    return
+                evals, last, left, right = kept
+        yield evals
 
-    pw = base ** (n - 1)
-    last = np.arange(start // pw, (stop - 1) // pw + 1)
-    for first, P, S in fold(_gather(images, last), logs[last], last, pw, start, stop):
-        yield first - start, P, S
+    last = np.arange(start // base ** (n - 1), (stop - 1) // base ** (n - 1) + 1)
+    evals = [(_gather(images, last), logs[last]) for images, logs in factors]
+    if bound is None or n == 1:
+        yield from descend(1, evals, last, True, True)
+    else:
+        kept = survivors(evals, last, 1, True, True)
+        if kept is not None:
+            yield from descend(1, *kept)
 
 
 def necklace_walk(k: int, n: int, start: int, stop: int):
@@ -514,13 +408,18 @@ def jordan_chunk(P, S: np.ndarray, is_complex: bool, tol: float = algebra.DEFAUL
     return 2.0 * (S + np.log(lam)), None
 
 
-def cartan_chunk(P, S: np.ndarray) -> np.ndarray:
+def _cartan_floor(P, S: np.ndarray) -> np.ndarray:
+    """h = log(||g||_F^2 / 2) of each item, a lower bound on its Cartan
+    length mu = arccosh(||g||_F^2 / 2), within log 2 of it."""
     # |p00|^2 + |p01|^2 + |p10|^2 + |p11|^2 summed left to right, the order
     # np.sum(|P|^2, axis=(1, 2)) takes over an (m, 2, 2) array
     a00, a01, a10, a11 = (np.abs(x) ** 2 for x in P)
     fro2 = a00 + a01 + a10 + a11
-    h = 2.0 * S + np.log(fro2) - LN2
-    h = np.maximum(h, 0.0)
+    return 2.0 * S + np.log(fro2) - LN2
+
+
+def cartan_chunk(P, S: np.ndarray) -> np.ndarray:
+    h = np.maximum(_cartan_floor(P, S), 0.0)
     return h + np.log1p(np.sqrt(-np.expm1(-2.0 * h)))
 
 
@@ -547,28 +446,44 @@ def _chunk_ranges(k: int, L_max: int, shard, chunk: int):
     return itertools.islice(ranges, w, None, workers)
 
 
-def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
-    """Yields (n, lo, hi, mu (m,d)) over all reduced words of length
-    1..L_max: each chunk is the index range [lo, hi) of stratum n, whose
-    words are folded down the prefix tree and never decoded.
+def _cartan_blocks(k: int, n: int, lo: int, hi: int, images, bound=None):
+    """The Cartan vectors (m, d) of _fold_walk's blocks of leaves."""
+    for evals in _fold_walk(k, n, lo, hi, images, bound):
+        yield np.column_stack([cartan_chunk(P, S) for P, S in evals])
 
-    shard, when given, is a pair (w, workers) from _shards; the default
-    covers everything.
+
+def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None, reach=None):
+    """Yields (n, lo, hi, mu (m,d), leaves) over all reduced words of length
+    1..L_max: each chunk is the index range [lo, hi) of stratum n, whose
+    words are folded down the prefix tree and never decoded.  leaves counts
+    the words whose Cartan vector was evaluated.
+
+    reach, when given, is the pair (families, grid) the chunks are counted
+    for: the walk is then pruned by _Pruning.of, if it applies, and mu
+    holds, in index order, only the words that some family may count or
+    that may lower the minimal stretch per letter.  Otherwise mu holds every
+    word of the chunk in index order.  shard, when given, is a pair (w,
+    workers) from _shards; the default covers everything.
     """
     _check_budget(rep.k, L_max, budget)
     images = _factor_images(rep)
+    bound = None if reach is None else _Pruning.of(rep, *reach, L_max, images)
     for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
         mu = np.empty((hi - lo, rep.d))
-        for i, (mats, logs) in enumerate(images):
-            for off, P, S in prefix_walk(rep.k, n, lo, hi, mats, logs):
-                mu[off : off + S.size, i] = cartan_chunk(P, S)
-        yield n, lo, hi, mu
+        rows = leaves = 0
+        for block in _cartan_blocks(rep.k, n, lo, hi, images, bound):
+            leaves += len(block)
+            if bound is not None:
+                block = bound.kept(block, n)
+            mu[rows : rows + len(block)] = block
+            rows += len(block)
+        yield n, lo, hi, mu[:rows], leaves
 
 
 def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
     """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max:
     _word_stream with each chunk's words decoded."""
-    for n, lo, hi, mu in _word_stream(rep, L_max, shard, chunk, budget):
+    for n, lo, hi, mu, _ in _word_stream(rep, L_max, shard, chunk, budget):
         yield decode_words(rep.k, n, lo, hi), mu
 
 
@@ -630,6 +545,95 @@ class _Partial:
     counts: np.ndarray
     c_min: float
     histograms: Optional[np.ndarray] = None  # (d, n_grid, n_sectors)
+    leaves: int = 0  # Cartan vectors evaluated
+
+
+class _Pruning:
+    """Which Cartan words no family can count and the minimal stretch per
+    letter does not need, from the certified defect constants C_i of
+    reps.defect_constant.
+
+    A word w = uv of stratum n whose prefix u has depth j < n has
+    mu_i(w) >= mu_i(u) + m_i(n - j) - C_i, m_i(r) a lower bound on mu_i over
+    the words of length r, so its Cartan vector lies above the point
+    L = (max(0, mu_i(u) + m_i(n - j) - C_i))_i of the positive orthant.  The
+    node u, and its subtree, is dropped when ||L|| > max(R, n c1) and every
+    coordinate family's coordinate of L exceeds the grid's last T: a ball or
+    ladder counts no norm beyond R, the grid's last T (R is 0 without
+    families), a coordinate ray no coordinate beyond it, and no dropped word
+    can lower c_min_hat, which is at most c1, the smallest generator norm,
+    since stratum 1 holds that generator.  So counts, c_min_hat and t_trust
+    are the full walk's.  A margin of 1e-9, relative and absolute, covers
+    the rounding of the bound.
+
+    Internal nodes are tested with h = log(||P||_F^2 / 2) <= mu, which saves
+    cartan_chunk's three transcendental steps, and leaves by their own mu,
+    with no defect term.  m_i(r) is the exact minimum for r <= EXACT (8,748
+    words at k = 2), from an unpruned walk that every worker runs for
+    itself, extended by m(a + b) >= m(a) + m(b) - C beyond.  The decision
+    reads only a node's own (P, S) and these constants, so it does not
+    depend on chunking or workers.
+    """
+
+    EXACT = 8
+    MARGIN = 1e-9
+
+    @classmethod
+    def of(cls, rep, families, grid, L_max: int, images) -> Optional["_Pruning"]:
+        """The bound for these families, or None when some factor has no
+        defect certificate or some family no finite reach."""
+        axes = [getattr(f, "reach_axis", None) for f in families]
+        if None in axes:
+            return None
+        defects = [defect_constant(f) for f in rep.factors]
+        if None in defects:
+            return None
+        return cls(rep, axes, float(grid[-1]) if axes else 0.0, L_max, images, np.array(defects))
+
+    def __init__(self, rep, axes, reach: float, L_max: int, images, defects: np.ndarray):
+        (mu1,) = _cartan_blocks(rep.k, 1, 0, 2 * rep.k, images)
+        c1 = float(np.min(np.sqrt(_row_sq_sum(mu1))))
+        ball = reach if "norm" in axes else 0.0
+        scale = 1.0 + self.MARGIN
+        self.norm2 = [(max(ball, n * c1) * scale + self.MARGIN) ** 2 for n in range(L_max + 1)]
+        self.coords = [(a, reach * scale + self.MARGIN) for a in axes if a != "norm"]
+        m = np.zeros((max(L_max, 2), rep.d))
+        m[1] = mu1.min(axis=0)
+        for r in range(2, L_max):
+            if r <= self.EXACT:
+                blocks = _cartan_blocks(rep.k, r, 0, stratum_size(rep.k, r), images)
+                m[r] = functools.reduce(np.minimum, (b.min(axis=0) for b in blocks))
+            else:
+                m[r] = np.max(m[1:r] + m[r - 1 : 0 : -1], axis=0) - defects
+        self.slack = (m - defects).tolist()  # m_i(r) - C_i per r
+
+    def beyond(self, cols, n: int) -> np.ndarray:
+        """Rows whose lower bounds cols (one nonnegative array per factor)
+        put every word of stratum n above them out of reach."""
+        out = _col_sq_sum(cols) > self.norm2[n]
+        for i, r in self.coords:
+            out &= cols[i] > r
+        return out
+
+    def alive(self, evals, n: int, j: int) -> Optional[np.ndarray]:
+        """The rows of depth j < n to keep, or None when every row is kept."""
+        slack = self.slack[n - j]
+        # no entry of a walk's P exceeds 2 in modulus (RenormMatrix, _extend),
+        # so h <= 2S + 3 log 2: a block whose largest S leaves it in reach
+        # is kept without a test per row
+        top = [max(0.0, 2.0 * float(S.max()) + 3.0 * LN2 + s) for (_, S), s in zip(evals, slack)]
+        if not self.beyond(top, n):
+            return None
+        cols = [np.maximum(_cartan_floor(P, S) + s, 0.0) for (P, S), s in zip(evals, slack)]
+        drop = self.beyond(cols, n)
+        return ~drop if drop.any() else None
+
+    def kept(self, mu: np.ndarray, n: int) -> np.ndarray:
+        """The leaves of stratum n, mu (m, d) their Cartan vectors, that
+        some family may count or that may lower the minimal stretch."""
+        if not self.beyond(mu.max(axis=0).tolist(), n):
+            return mu
+        return mu[~self.beyond(mu.T, n)]
 
 
 def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
@@ -659,6 +663,8 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
     c_min = math.inf
     complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
     for n, letters, X, holos, primitive in chunks:
+        if not len(X):  # a chunk the bound pruned to nothing
+            continue
         norms = np.sqrt(_row_sq_sum(X))
         c_min = min(c_min, float(np.min(norms / n)))
         if sink is not None:
@@ -693,11 +699,19 @@ def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, shard, bud
 
 
 def _cartan_partial(rep, families, grid, L_max, sink, shard, budget) -> _Partial:
-    chunks = (
-        (n, None if sink is None else decode_words(rep.k, n, lo, hi), mu, None, None)
-        for n, lo, hi, mu in _word_stream(rep, L_max, shard=shard, budget=budget)
-    )
-    return _tally(rep, chunks, families, grid, False, None, sink)
+    # a sink reads every word in order, so it is walked unpruned
+    reach = (families, grid) if sink is None else None
+    leaves = 0
+
+    def chunks():
+        nonlocal leaves
+        for n, lo, hi, mu, evaluated in _word_stream(rep, L_max, shard, budget=budget, reach=reach):
+            leaves += evaluated
+            yield n, None if sink is None else decode_words(rep.k, n, lo, hi), mu, None, None
+
+    part = _tally(rep, chunks(), families, grid, False, None, sink)
+    part.leaves = leaves
+    return part
 
 
 def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard, budget) -> _Partial:
@@ -720,7 +734,9 @@ def _run_sharded(task: Callable, workers: int) -> _Partial:
     except BrokenProcessPool as exc:
         raise WorkerCrashed(f"a census worker process died: {exc}") from exc
     hist = None if parts[0].histograms is None else sum(p.histograms for p in parts)
-    return _Partial(sum(p.counts for p in parts), min(p.c_min for p in parts), hist)
+    return _Partial(
+        sum(p.counts for p in parts), min(p.c_min for p in parts), hist, sum(p.leaves for p in parts)
+    )
 
 
 def _grid(t_grid) -> np.ndarray:
@@ -730,15 +746,24 @@ def _grid(t_grid) -> np.ndarray:
     return grid
 
 
-def _census(rep, walk, args, family, t_grid, L_max, kind, workers, force, budget, sink):
+def _count_leaves(profile: Optional[dict], part: _Partial):
+    """Add the Cartan vectors a walk evaluated to profile["cartan_leaves"]."""
+    if profile is not None:
+        profile["cartan_leaves"] = profile.get("cartan_leaves", 0) + part.leaves
+
+
+def _census(rep, walk, args, family, t_grid, L_max, kind, workers, force, budget, sink, profile=None):
     """Gate, run walk(rep, (family,), grid, L_max, *args, sink, shard, budget)
-    over the worker shards, and wrap the family's counts as a CountSeries."""
+    over the worker shards, and wrap the family's counts as a CountSeries.
+    A Cartan walk adds its evaluated leaves to profile, when given."""
     _gate_validated(rep, force)
     if sink is not None and workers > 1:
         raise ValueError("a spectra sink requires workers=1 (callbacks do not cross processes)")
     grid = _grid(t_grid)
     task = functools.partial(walk, rep, (family,), grid, L_max, *args, sink, budget=budget)
     part = _run_sharded(task, workers)
+    if kind == KIND_CARTAN:
+        _count_leaves(profile, part)
     series = CountSeries(
         t_grid=tuple(grid),
         counts=tuple(part.counts[0]),
@@ -780,11 +805,17 @@ def census_cartan(
     force: bool = False,
     budget: Optional[int] = None,
     spectra_sink=None,
+    profile: Optional[dict] = None,
 ) -> CountSeries:
-    """Count group elements whose Cartan vector lies in family(T), per grid T."""
+    """Count group elements whose Cartan vector lies in family(T), per grid T.
+
+    The walk skips the words no grid point can count (_Pruning) unless a
+    spectra sink reads every word; profile, when given, is a dict whose
+    "cartan_leaves" the walk adds its evaluated words to.
+    """
     return _census(
         rep, _cartan_partial, (), family, t_grid, L_max, KIND_CARTAN, workers, force, budget,
-        spectra_sink,
+        spectra_sink, profile,
     )[0]
 
 
@@ -845,6 +876,7 @@ def completeness_horizon(
     workers: int = 1,
     force: bool = False,
     budget: Optional[int] = None,
+    profile: Optional[dict] = None,
 ) -> Tuple[float, float]:
     """(t_trust, c_min_hat) from the empirical minimal stretch per word length.
 
@@ -865,7 +897,10 @@ def completeness_horizon(
         task = functools.partial(_cartan_partial, rep, (), no_grid, L_max, None, budget=budget)
     else:
         raise ValueError(f"unknown census kind {kind!r}")
-    c_min = _run_sharded(task, workers).c_min
+    part = _run_sharded(task, workers)
+    if kind in (KIND_CARTAN, "cartan"):
+        _count_leaves(profile, part)
+    c_min = part.c_min
     if not math.isfinite(c_min):
         raise InsufficientData("enumeration produced no items")
     return _horizon(c_min, L_max, math.inf), c_min

@@ -284,6 +284,17 @@ def _manifest(out: Path, command: str, config: dict, extra: dict, t0: float, wor
         fh.write("\n")
 
 
+def _profile(rep, counters: dict) -> dict:
+    """The MANIFEST "profile" block of a run whose Cartan walks added to
+    counters: each factor's certified defect constant (None where the lemma
+    does not apply) and the Cartan vectors evaluated, summed over shards and
+    walks.  Empty for a run that walked no Cartan word."""
+    if "cartan_leaves" not in counters:
+        return {}
+    constants = [reps.defect_constant(f) for f in rep.factors]
+    return {"profile": {"defect_constants": constants, "cartan_leaves": counters["cartan_leaves"]}}
+
+
 def run_validate(config, args, out: Path) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
     t0 = time.time()
@@ -329,6 +340,7 @@ def _series_run(config, args, out: Path, which: str) -> int:
     else:
         family = parse_region(config["region"], rep.d)
     dump = None
+    counters: dict = {}
     if args.dump_spectra:
         kind = "cartan" if which == "census-cartan" else "jordan"
         dump = SpectraDump(out / "spectra.csv", rep.d, kind)
@@ -362,7 +374,7 @@ def _series_run(config, args, out: Path, which: str) -> int:
         else:
             series = census.census_cartan(
                 rep, family, grid, L_max, workers=args.workers, force=args.force,
-                spectra_sink=dump,
+                spectra_sink=dump, profile=counters,
             )
     finally:
         if dump is not None:
@@ -374,7 +386,7 @@ def _series_run(config, args, out: Path, which: str) -> int:
         which,
         config,
         {"t_trust": series.t_trust, "c_min_hat": series.c_min_hat, "kind": series.kind,
-         "region": series.region},
+         "region": series.region, **_profile(rep, counters)},
         t0,
         args.workers,
     )
@@ -403,9 +415,10 @@ def run_ladder(config, args, out: Path) -> int:
     epsilons = config.get("epsilons")
     if not isinstance(epsilons, list) or not epsilons:
         raise SchemaError("'epsilons' must be a nonempty decreasing list")
+    counters: dict = {}
     ladder = fitting.growth_indicator_ladder(
         rep, direction, [float(e) for e in epsilons], grid, _integer("L_max", config["L_max"]),
-        source, workers=args.workers, force=args.force,
+        source, workers=args.workers, force=args.force, profile=counters,
     )
     write_ladder_csv(ladder, out / "ladder.csv")
     emit_plot_data(ladder, out / "ladder.dat")
@@ -418,6 +431,7 @@ def run_ladder(config, args, out: Path) -> int:
             "direction": list(ladder.direction),
             "t_trust": ladder.t_trust,
             "c_min_hat": ladder.c_min_hat,
+            **_profile(rep, counters),
         },
         t0,
         args.workers,
@@ -450,8 +464,11 @@ def run_correlate(config, args, out: Path) -> int:
     emit_plot_data((populated, fit), out / "box_fit.dat")
 
     fgrid = parse_grid(config.get("factor_t_grid", config["t_grid"]))
+    counters: dict = {}
     factor_fits = [
-        fitting.factor_critical_exponent(rep, i, fgrid, L_max, workers=args.workers, force=args.force)
+        fitting.factor_critical_exponent(
+            rep, i, fgrid, L_max, workers=args.workers, force=args.force, profile=counters
+        )
         for i in range(rep.d)
     ]
     for i, f in enumerate(factor_fits):
@@ -478,6 +495,7 @@ def run_correlate(config, args, out: Path) -> int:
         "M_hat": dep.M_hat,
         "probe_core_length": dep.probe_core_length,
     }
+    extra.update(_profile(rep, counters))
     _manifest(out, "correlate", config, extra, t0, args.workers)
     return 0
 
@@ -520,7 +538,10 @@ def run_ratio(config, args, out: Path) -> int:
     t0 = time.time()
     family = parse_region(config["region"], rep.d)
     jordan = census.census_jordan(rep, family, grid, L_max, workers=args.workers, force=args.force)
-    cartan = census.census_cartan(rep, family, grid, L_max, workers=args.workers, force=args.force)
+    counters: dict = {}
+    cartan = census.census_cartan(
+        rep, family, grid, L_max, workers=args.workers, force=args.force, profile=counters
+    )
     write_series_csv(jordan, out / "jordan_series.csv")
     write_series_csv(cartan, out / "cartan_series.csv")
     window = config.get("window")
@@ -554,7 +575,8 @@ def run_ratio(config, args, out: Path) -> int:
         {"slope": ratio.slope, "intercept": ratio.intercept, "r_squared": ratio.r_squared,
          "warned": warn,
          "t_trust": {"jordan": jordan.t_trust, "cartan": cartan.t_trust},
-         "c_min_hat": {"jordan": jordan.c_min_hat, "cartan": cartan.c_min_hat}},
+         "c_min_hat": {"jordan": jordan.c_min_hat, "cartan": cartan.c_min_hat},
+         **_profile(rep, counters)},
         t0,
         args.workers,
     )
@@ -579,15 +601,17 @@ def run_report(config, args, out: Path) -> int:
         if dep.m_hat is not None:
             lines.append(f"stretch ratio range: m_hat={dep.m_hat:.6g} M_hat={dep.M_hat:.6g}")
         extra["dependence_rank"] = dep.rank
+    counters: dict = {}
     for kind in ("jordan", "cartan"):
         t_trust, c_min = census.completeness_horizon(
-            rep, L_max, kind, workers=args.workers, force=args.force
+            rep, L_max, kind, workers=args.workers, force=args.force, profile=counters
         )
         lines.append(f"{kind} horizon at L_max={L_max}: c_min_hat={c_min:.6g} T_trust={t_trust:.6g}")
         extra[f"{kind}_t_trust"] = t_trust
         extra[f"{kind}_c_min_hat"] = c_min
     with _writer(out / "report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
+    extra.update(_profile(rep, counters))
     _manifest(out, "report", config, extra, t0, args.workers)
     return 0
 

@@ -184,6 +184,7 @@ def growth_indicator_ladder(
     workers: int = 1,
     force: bool = False,
     budget: Optional[int] = None,
+    profile: Optional[dict] = None,
 ) -> LadderResult:
     """Fitted growth rates in shrinking tubes/cones around a direction.
 
@@ -191,7 +192,8 @@ def growth_indicator_ladder(
     row of an ApertureLadderFamily.  Each row is fitted with alpha fixed to
     0 (pure rate extraction); the extrapolated value is the median of the
     last two finite rates.  Directions outside the spectrum cone produce
-    empty censuses and the -inf sentinel.
+    empty censuses and the -inf sentinel.  A cartan-tube walk adds its
+    evaluated words to profile["cartan_leaves"], when profile is given.
     """
     if source not in LADDER_SOURCES:
         raise ValueError(f"source must be one of {LADDER_SOURCES}")
@@ -205,7 +207,9 @@ def growth_indicator_ladder(
         walk, args, kind = _cartan_partial, (), KIND_CARTAN
     else:
         walk, args, kind = _jordan_partial, (False,), KIND_JORDAN
-    first, part = _census(rep, walk, args, family, t_grid, L_max, kind, workers, force, budget, None)
+    first, part = _census(
+        rep, walk, args, family, t_grid, L_max, kind, workers, force, budget, None, profile
+    )
     deltas: List[float] = []
     for e, counts in zip(eps, part.counts):
         if counts[-1] == 0:
@@ -239,14 +243,20 @@ def factor_critical_exponent(
     workers: int = 1,
     force: bool = False,
     budget: Optional[int] = None,
+    profile: Optional[dict] = None,
 ) -> FitResult:
-    """Critical exponent of one factor from rank-one displacement counting."""
+    """Critical exponent of one factor from rank-one displacement counting.
+
+    The walk adds its evaluated words to profile["cartan_leaves"], when
+    profile is given."""
     if not 0 <= factor_index < rep.d:
         raise ValueError("factor index out of range")
     # the displacement coordinate only involves its own factor
     sub = Representation(k=rep.k, factors=(rep.factors[factor_index],))
     family = CoordinateRayFamily(0, 1)
-    series = census_cartan(sub, family, t_grid, L_max, workers=workers, force=force, budget=budget)
+    series = census_cartan(
+        sub, family, t_grid, L_max, workers=workers, force=force, budget=budget, profile=profile
+    )
     return fit_growth(series, window=window, fix_alpha=0.0)
 
 

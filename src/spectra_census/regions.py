@@ -2,10 +2,20 @@
 
 Tubes and boxes are closed, cones are open; boundary ties therefore count
 for tubes and boxes and not for cones.  All norms are Euclidean.
+
+The region specs and their scalar membership tests come first, then the
+region families the censuses count with: each classifies an (m, d) chunk
+of spectrum vectors against a T-grid at once.  A tube or cone ball is the
+one-rung ladder, so both regions have one implementation,
+ApertureLadderFamily.count_grid.  A family's reach_axis says which of a
+vector's sizes, its norm or one coordinate, bounds what it counts by the
+grid's last T; a family without one (box, truncated tube) has no finite
+reach, and the Cartan walk does not prune for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -261,3 +271,187 @@ def region_id(spec) -> str:
     if isinstance(spec, TruncatedTubeSpec):
         return f"ttube[v=({fmt(spec.direction)});T={spec.height:.6g}]"
     raise TypeError(f"no region id for {type(spec).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# region families: vectorized classification against a T-grid
+#
+# Per-row reductions over the narrow (m, d) spectrum arrays are left folds
+# over the d columns: one pass per column instead of a short reduction per
+# row, with the same floats as numpy's row reductions.
+
+
+def _row_sq_sum(X: np.ndarray) -> np.ndarray:
+    """np.sum(X * X, axis=1), bit for bit."""
+    return _col_sq_sum(X.T)
+
+
+def _col_sq_sum(cols: Sequence[np.ndarray]) -> np.ndarray:
+    """np.sum(X * X, axis=1) of the (m, d) array X whose columns are cols,
+    bit for bit."""
+    if len(cols) >= 8:  # numpy sums eight or more terms pairwise, not left to right
+        X = np.column_stack(cols)
+        return np.sum(X * X, axis=1)
+    return functools.reduce(np.add, (c * c for c in cols))
+
+
+def _row_nonneg(X: np.ndarray) -> np.ndarray:
+    """np.all(X >= 0.0, axis=1)."""
+    return functools.reduce(np.logical_and, (c >= 0.0 for c in X.T))
+
+
+class ApertureLadderFamily:
+    """Tube or cone balls {x in region_j : ||x|| <= T}, one row per spec j,
+    cumulative in T.
+
+    Each item's norm and aperture value (distance to the line, or angle to
+    the ray) are computed once per chunk; row j counts specs[j], closed for
+    tubes, open for cones, inside the closed positive orthant.  This is the
+    one implementation of both regions: a single tube or cone ball is the
+    one-rung ladder.
+    """
+
+    cumulative = True
+    reach_axis = "norm"  # it counts no row of norm beyond the grid's last T
+
+    def __init__(self, specs: Sequence):
+        shapes = {(type(s), s.direction, getattr(s, "offset", None)) for s in specs}
+        if len(shapes) != 1 or not isinstance(specs[0], (TubeSpec, ConeSpec)):
+            raise ValueError("specs must be TubeSpecs or ConeSpecs of one direction and offset")
+        self.tube = isinstance(specs[0], TubeSpec)
+        self.specs = tuple(specs)
+        self.rows = len(specs)
+        self.region_id = "ladder[" + ";".join(region_id(s) for s in specs) + "]"
+
+    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        v = np.asarray(self.specs[0].direction)
+        norms = np.sqrt(_row_sq_sum(X))
+        good = _row_nonneg(X)
+        if self.tube:
+            u = X - np.asarray(self.specs[0].offset)
+            t = u @ v
+            value = np.sqrt(_col_sq_sum([c - t * vi for c, vi in zip(u.T, v)]))
+        else:
+            good &= norms > 0.0
+            cosang = np.ones_like(norms)
+            np.divide(X @ v, norms, out=cosang, where=good)
+            value = np.arccos(np.clip(cosang, -1.0, 1.0))
+        value[~good] = np.inf
+        inside = [value <= s.epsilon if self.tube else value < s.half_angle for s in self.specs]
+        # one sort of the rows inside some rung serves every rung: rung j
+        # counts, at each T, its members among the sorted norms up to T
+        rows = np.flatnonzero(functools.reduce(np.logical_or, inside))
+        order = rows[np.argsort(norms[rows])]
+        upto = np.searchsorted(norms[order], grid, side="right")
+        out = np.zeros((len(inside), grid.size), dtype=np.int64)
+        for j, m in enumerate(inside):
+            members = np.concatenate(([0], np.cumsum(m[order])))
+            out[j] = members[upto]
+        return out
+
+
+class _Ball(ApertureLadderFamily):
+    """The one-rung ladder of spec, counted as a single row."""
+
+    def __init__(self, spec):
+        super().__init__([spec])
+        self.spec = spec
+        self.region_id = region_id(spec)
+
+    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        return super().count_grid(X, grid)[0]
+
+
+class TubeBallFamily(_Ball):
+    """{x in tube : ||x|| <= T}, cumulative in T: the one-rung tube ladder."""
+
+
+class ConeBallFamily(_Ball):
+    """{x in open cone : ||x|| <= T}, cumulative in T: the one-rung cone ladder."""
+
+
+class BoxWindowFamily:
+    """Moving box prod_i [v_i T, v_i T + eps_i]; not cumulative."""
+
+    cumulative = False
+
+    def __init__(self, direction: Sequence[float], widths: Sequence[float]):
+        v = np.asarray(direction, dtype=float)
+        w = np.asarray(widths, dtype=float)
+        if v.shape != w.shape or v.ndim != 1:
+            raise ValueError("direction and widths must be 1-d and equal length")
+        if np.any(v <= 0.0) or np.any(w <= 0.0):
+            raise ValueError("direction and widths must be strictly positive")
+        self.direction = v
+        self.widths = w
+        self.region_id = region_id(
+            BoxWindow(tuple(v), tuple(w), 0.0)
+        )
+
+    def window(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row, the closed interval of T for which the row is in the box."""
+        cols = list(zip(X.T, self.widths, self.direction))
+        lo = functools.reduce(np.maximum, ((c - w) / v for c, w, v in cols))
+        hi = functools.reduce(np.minimum, (c / v for c, w, v in cols))
+        return lo, hi
+
+    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        lo, hi = self.window(X)
+        ok = lo <= hi
+        lo, hi = np.sort(lo[ok]), np.sort(hi[ok])
+        started = np.searchsorted(lo, grid, side="right")
+        ended = np.searchsorted(hi, grid, side="left")
+        return (started - ended).astype(np.int64)
+
+    def member_mask(self, X: np.ndarray, t: float) -> np.ndarray:
+        lo, hi = self.window(X)
+        return (lo <= t) & (t <= hi)
+
+
+class CoordinateRayFamily:
+    """{x : x_i <= T}: rank-one counting of a single factor, cumulative."""
+
+    cumulative = True
+
+    def __init__(self, index: int, d: int):
+        if not 0 <= index < d:
+            raise ValueError("factor index out of range")
+        self.index = index
+        self.reach_axis = index  # it counts no row whose coordinate exceeds the grid's last T
+        self.region_id = f"ray[coord={index}]"
+
+    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        vals = np.sort(X[:, self.index])
+        return np.searchsorted(vals, grid, side="right").astype(np.int64)
+
+
+class TruncatedTubeFamily:
+    """Family T_{T,b} over the grid for the box-difference truncation profiles.
+
+    The cross-section is left unbounded: the upper-minus-lower difference
+    count is insensitive to it (outside the box shadow the two profiles
+    cross and the slab difference is empty), which is the identity the
+    moving-box census is checked against.
+    """
+
+    cumulative = True
+
+    def __init__(self, direction: Sequence[float], widths: Sequence[float], side: str):
+        if side not in ("upper", "lower"):
+            raise ValueError("side must be 'upper' or 'lower'")
+        self.direction = np.asarray(unit(direction), dtype=float)
+        self.widths = np.asarray(widths, dtype=float)
+        self.side = side
+        self.region_id = f"ttube[{side};v=({','.join(format(x, '.6g') for x in self.direction)})]"
+
+    def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        v = self.direction
+        t = X @ v
+        U = X - np.outer(t, v)
+        if self.side == "upper":
+            b = functools.reduce(np.minimum, ((w - c) / vi for c, w, vi in zip(U.T, self.widths, v)))
+        else:
+            b = functools.reduce(np.maximum, (-c / vi for c, vi in zip(U.T, v)))
+        keep = (t >= 0.0) & _row_nonneg(X)
+        vals = np.sort((t - b)[keep])
+        return np.searchsorted(vals, grid, side="right").astype(np.int64)

@@ -8,6 +8,7 @@ vectorized census engine), and numerical detection of dependent factor tuples.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -346,6 +347,63 @@ def validate_ping_pong(rep: Representation, tol: float = DEFAULT_PINGPONG_TOL) -
         frame_rotation=frame,
         message=message,
     )
+
+
+def defect_constant(factor: Factor, tol: float = DEFAULT_PINGPONG_TOL) -> Optional[float]:
+    """Certified quasi-additivity defect C of one rank-2 factor, or None.
+
+    For every reduced product uv of nonempty words u, v,
+    mu(uv) >= mu(u) + mu(v) - C, mu the Cartan length d(o, g.o) at the
+    basepoint o = j of upper half-space (Beardon, The Geometry of Discrete
+    Groups, 1983, on isometric circles; Bridson and Haefliger, Metric Spaces
+    of Non-positive Curvature, 1999, III.H.1, on Gromov products).
+
+    Proof sketch.  mu(uv) = d(u^-1.o, v.o) = mu(u) + mu(v) - 2(u^-1.o . v.o)_o.
+    A generator maps the outside of its isometric hemisphere into the inside
+    of its inverse's, so, with o outside all four disjoint hemispheres of the
+    ping-pong certificate, v.o lies inside the hemisphere of the inverse of
+    v's first letter and u^-1.o inside the hemisphere of u's last letter:
+    different hemispheres, since uv is reduced.  The ray from o through a
+    point of a half-space stays inside that half-space, and moving a point
+    outward along its ray never lowers the Gromov product, so
+    (u^-1.o . v.o)_o <= (xi . eta)_o = -log sin(theta/2) for the ends xi,
+    eta of the rays, theta >= the smallest visual angle from o between the
+    two boundary discs.  Hence C = 2 max over disc pairs of
+    -log sin(theta_ab/2).  Seen from o, the disc of center c and radius r is
+    the spherical cap of angular radius atan2(2r, 1 + |c|^2 - r^2) around
+    the polar angle atan(|c| - r) + atan(|c| + r) in the direction arg c.
+
+    The circles are the ones validate_ping_pong certifies; its frame
+    rotations fix o, so mu is the same in every frame.  Returns None when
+    the lemma does not apply: k != 2, the circles degenerate or fail
+    ping-pong, or o lies inside (or on) a hemisphere.
+    """
+    if len(factor.generators) != 2:
+        return None
+    try:
+        report = validate_ping_pong(Representation(k=2, factors=(factor,)), tol)
+    except NotApplicable:
+        return None
+    if not report.passed:
+        return None
+    caps = []
+    for c, r, _ in report.circles:
+        a = abs(c)
+        room = 1.0 + a * a - r * r  # > 0 iff o lies outside the hemisphere
+        if room <= 0.0:
+            return None
+        phi, psi = math.atan(a - r) + math.atan(a + r), cmath.phase(c)
+        axis = np.array([math.sin(phi) * math.cos(psi), math.sin(phi) * math.sin(psi), -math.cos(phi)])
+        caps.append((axis, math.atan2(2.0 * r, room)))
+    worst = 0.0
+    for i, (axis_a, radius_a) in enumerate(caps):
+        for axis_b, radius_b in caps[i + 1 :]:
+            chord = float(np.linalg.norm(axis_a - axis_b))
+            theta = 2.0 * math.asin(min(1.0, 0.5 * chord)) - radius_a - radius_b
+            if theta <= 0.0:
+                return None
+            worst = max(worst, -math.log(math.sin(0.5 * theta)))
+    return 2.0 * worst
 
 
 def validate_representation(rep: Representation, tol: float = DEFAULT_PINGPONG_TOL):

@@ -238,9 +238,14 @@ def test_cartan_walk_folds_in_blocks(monkeypatch, real_pair):
 
     monkeypatch.setattr(cn, "_extend", counted)
     grid = np.arange(2.0, 24.0, 0.61) + 0.017
-    cn.census_cartan(real_pair, cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0]), 1.3)), grid, 11)
+    family = cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0]), 1.3))
+    # the census prunes its walk; a spectra sink reads every word, so the
+    # second walk folds the whole tree
+    for sink in (None, lambda letters, X, holos: None):
+        seen.clear()
+        cn.census_cartan(real_pair, family, grid, 11, spectra_sink=sink)
+        assert max(seen) <= cn.BLOCK
     assert sum(seen) > gr.stratum_size(2, 11)
-    assert max(seen) <= cn.BLOCK
 
 
 def test_cartan_census_independent_of_workers(two_factor_rep):

@@ -291,6 +291,59 @@ def test_aperture_ladder_rows_match_ball_families(c, data):
         assert list(row) == list(single(spec).count_grid(X, grid))
 
 
+def _outer_product_counts(specs, X, grid):
+    """ApertureLadderFamily.count_grid by the np.outer distance and one sort
+    per rung: the formula the column fold and the one shared sort replace."""
+    v = np.asarray(specs[0].direction)
+    norms = np.sqrt(cn._row_sq_sum(X))
+    good = np.all(X >= 0.0, axis=1)
+    if isinstance(specs[0], rg.TubeSpec):
+        u = X - np.asarray(specs[0].offset)
+        value = np.sqrt(cn._row_sq_sum(u - np.outer(u @ v, v)))
+        inside = [lambda x, s=s: x <= s.epsilon for s in specs]
+    else:
+        good &= norms > 0.0
+        cosang = np.ones_like(norms)
+        np.divide(X @ v, norms, out=cosang, where=good)
+        value = np.arccos(np.clip(cosang, -1.0, 1.0))
+        inside = [lambda x, s=s: x < s.half_angle for s in specs]
+    value[~good] = np.inf
+    return [list(np.searchsorted(np.sort(norms[rung(value)]), grid, side="right")) for rung in inside]
+
+
+@PROPERTY
+@given(cloud(), st.data())
+def test_aperture_ladder_matches_outer_product_formula(c, data):
+    d, X, grid = c
+    v = rg.unit(data.draw(st.lists(positive, min_size=d, max_size=d)))
+    offset = None
+    if data.draw(st.booleans()):
+        offset = tuple(data.draw(st.lists(st.floats(0.0, 2.0), min_size=d, max_size=d)))
+    ties = [float(a) for a in _aperture_values(X, v, offset) if 0.0 < a < math.pi / 2]
+    aperture = st.floats(0.05, 1.5) | (st.sampled_from(ties) if ties else st.nothing())
+    specs, _ = _ladder_specs(v, data.draw(st.lists(aperture, min_size=1, max_size=4)), offset)
+    got = cn.ApertureLadderFamily(specs).count_grid(X, grid)
+    assert got.tolist() == _outer_product_counts(specs, X, grid)
+
+
+@pytest.mark.parametrize("rep_name", ["two_factor_rep", "complex_pair"])
+def test_aperture_ladder_matches_outer_product_formula_on_census_data(request, rep_name):
+    rep = request.getfixturevalue(rep_name)
+    X = np.concatenate([mu for _, mu in cn.iter_word_chunks(rep, 8)])
+    d = X.shape[1]
+    grid = np.unique(np.concatenate([np.linspace(0.0, 40.0, 57), np.sqrt(np.sum(X[::97] ** 2, axis=1))]))
+    v = rg.unit([1.0, 1.4][:d])
+    for offset in ((0.0,) * d, (0.3, 0.1)[:d], None):
+        # rungs through census points put boundary ties in every rung
+        values = _aperture_values(X, v, offset)
+        ties = sorted({float(a) for a in values[::211] if 0.0 < a < math.pi / 2}, reverse=True)[:3]
+        widths = [0.3, 0.1, 0.03] if offset is None else [1.6, 0.9, 0.2]
+        specs, _ = _ladder_specs(v, widths + ties, offset)
+        got = cn.ApertureLadderFamily(specs).count_grid(X, grid)
+        assert got.tolist() == _outer_product_counts(specs, X, grid)
+        assert got[:, -1].any()
+
+
 def test_aperture_ladder_counts_aperture_ties():
     # (3,4) and (4,3) sit exactly on the first rung's boundary: the closed
     # tube counts them at T = 10, the open cone does not
