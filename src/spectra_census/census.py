@@ -6,17 +6,26 @@ the chunk, and classifies the resulting spectrum vectors against the region
 families of regions.py over a T-grid: one count row per family, or per
 aperture for a ladder family.
 
-_tally is the one chunk loop: every census, the completeness horizon and
-the growth-indicator ladder run through it.  _jordan_partial,
-_cartan_partial and _box_partial only pick the chunk stream; they keep
-their names because the perfbench tracer wraps them by name and counts
-their spans as shard busy time.
+_census is the one census driver: census_jordan, census_cartan,
+census_box, the growth-indicator ladder (fitting) and completeness_horizon
+all call it, with a census kind and the families to count.  It alone
+gates the representation, refuses an L_max below 1 and a spectra sink
+across processes, validates the grid, picks the shard task from the kind,
+runs it over the worker shards, adds the evaluated Cartan leaves to a
+profile and computes the horizon.  The public entries only wrap its
+counts: one family's first row as a CountSeries (_series), or nothing
+but the horizon.  Each shard task, _jordan_partial, _cartan_partial or
+_box_partial, only picks the chunk stream for _tally, the one chunk loop;
+they keep their names because the perfbench tracer wraps them by name and
+counts their spans as shard busy time.  The word budget is not a
+parameter: group._check_budget reads SPECTRA_CENSUS_MAX_WORDS, or
+DEFAULT_BUDGET, where each stream starts.
 
 Every word is addressed by its index in the depth-first lexicographic order,
 and its (P, S) is the left fold of its letters through one renormalized step
 (_extend): the same floats in the same order whichever chunk or shard
 computes its prefixes, whether word by word (evaluate_chunk) or down the
-prefix tree (prefix_walk).  Counts are therefore bit-identical for any
+prefix tree (_fold_walk).  Counts are therefore bit-identical for any
 chunking and any number of worker shards, and shard merges are plain
 integer sums.  Shards take every workers-th chunk of the walk.  The fold
 keeps each 2x2 in struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of
@@ -250,18 +259,6 @@ def evaluate_chunk(letters: np.ndarray, images, logs: np.ndarray):
     return P, S
 
 
-def prefix_walk(k: int, n: int, start: int, stop: int, images, logs: np.ndarray):
-    """evaluate_chunk(decode_words(k, n, start, stop), images, logs), folded
-    down the prefix tree instead of word by word, and yielded as (offset, P,
-    S) for consecutive blocks of at most BLOCK rows, offset the first row's
-    position in [start, stop): the one-factor, unpruned view of _fold_walk.
-    """
-    offset = 0
-    for ((P, S),) in _fold_walk(k, n, start, stop, [(images, logs)]):
-        yield offset, P, S
-        offset += S.size
-
-
 def _fold_walk(k: int, n: int, start: int, stop: int, factors, bound=None):
     """Per block of leaves of [start, stop) in stratum n, in index order, one
     (P, S) per factor: the renormalized products of the words, folded down
@@ -351,7 +348,7 @@ def necklace_walk(k: int, n: int, start: int, stop: int):
     """(letters, period) of the cyclically reduced necklaces among the rows of
     decode_words(k, n, start, stop), in row order, without decoding the rest.
 
-    Descends the ancestors of the rows as prefix_walk does, keeping only
+    Descends the ancestors of the rows as _fold_walk does, keeping only
     prenecklaces with their FKM state p, the period of the longest Lyndon
     prefix (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37,
     2000): appending a_t to a_0..a_{t-1} kills the node if a_t < a_{t-p},
@@ -452,7 +449,7 @@ def _cartan_blocks(k: int, n: int, lo: int, hi: int, images, bound=None):
         yield np.column_stack([cartan_chunk(P, S) for P, S in evals])
 
 
-def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None, reach=None):
+def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, reach=None):
     """Yields (n, lo, hi, mu (m,d), leaves) over all reduced words of length
     1..L_max: each chunk is the index range [lo, hi) of stratum n, whose
     words are folded down the prefix tree and never decoded.  leaves counts
@@ -465,7 +462,7 @@ def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None, r
     word of the chunk in index order.  shard, when given, is a pair (w,
     workers) from _shards; the default covers everything.
     """
-    _check_budget(rep.k, L_max, budget)
+    _check_budget(rep.k, L_max)
     images = _factor_images(rep)
     bound = None if reach is None else _Pruning.of(rep, *reach, L_max, images)
     for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
@@ -480,14 +477,14 @@ def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None, r
         yield n, lo, hi, mu[:rows], leaves
 
 
-def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
+def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK):
     """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max:
     _word_stream with each chunk's words decoded."""
-    for n, lo, hi, mu, _ in _word_stream(rep, L_max, shard, chunk, budget):
+    for n, lo, hi, mu, _ in _word_stream(rep, L_max, shard, chunk):
         yield decode_words(rep.k, n, lo, hi), mu
 
 
-def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=None):
+def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK):
     """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
     canonical necklaces of core length 1..L_max, one per conjugacy class.
 
@@ -495,7 +492,7 @@ def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK, budget=No
     necklace_walk in index order; chunks without one are skipped.  shard is
     as in iter_word_chunks.
     """
-    _check_budget(rep.k, L_max, budget)
+    _check_budget(rep.k, L_max)
     images = _factor_images(rep)
     any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
     for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
@@ -687,25 +684,25 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
     return _Partial(counts, c_min, hist)
 
 
-def _class_chunks(rep, L_max, shard, budget):
+def _class_chunks(rep, L_max, shard):
     """iter_class_chunks in _tally's (n, letters, X, holos, primitive) form."""
-    for letters, lam, holos, primitive in iter_class_chunks(rep, L_max, shard=shard, budget=budget):
+    for letters, lam, holos, primitive in iter_class_chunks(rep, L_max, shard=shard):
         yield letters.shape[1], letters, lam, holos, primitive
 
 
-def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, shard, budget) -> _Partial:
-    chunks = _class_chunks(rep, L_max, shard, budget)
+def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, shard) -> _Partial:
+    chunks = _class_chunks(rep, L_max, shard)
     return _tally(rep, chunks, families, grid, primitive_only, None, sink)
 
 
-def _cartan_partial(rep, families, grid, L_max, sink, shard, budget) -> _Partial:
+def _cartan_partial(rep, families, grid, L_max, sink, shard) -> _Partial:
     # a sink reads every word in order, so it is walked unpruned
     reach = (families, grid) if sink is None else None
     leaves = 0
 
     def chunks():
         nonlocal leaves
-        for n, lo, hi, mu, evaluated in _word_stream(rep, L_max, shard, budget=budget, reach=reach):
+        for n, lo, hi, mu, evaluated in _word_stream(rep, L_max, shard, reach=reach):
             leaves += evaluated
             yield n, None if sink is None else decode_words(rep.k, n, lo, hi), mu, None, None
 
@@ -714,8 +711,8 @@ def _cartan_partial(rep, families, grid, L_max, sink, shard, budget) -> _Partial
     return part
 
 
-def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard, budget) -> _Partial:
-    chunks = _class_chunks(rep, L_max, shard, budget)
+def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard) -> _Partial:
+    chunks = _class_chunks(rep, L_max, shard)
     return _tally(rep, chunks, families, grid, primitive_only, edges, sink)
 
 
@@ -739,38 +736,51 @@ def _run_sharded(task: Callable, workers: int) -> _Partial:
     )
 
 
-def _grid(t_grid) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("t_grid must be a nonempty strictly increasing 1-d array")
-    return grid
+def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=None, profile=None):
+    """The one census driver: count families over grid for the census kind,
+    on every worker shard, and return (the merged _Partial, t_trust).
 
-
-def _count_leaves(profile: Optional[dict], part: _Partial):
-    """Add the Cartan vectors a walk evaluated to profile["cartan_leaves"]."""
-    if profile is not None:
-        profile["cartan_leaves"] = profile.get("cartan_leaves", 0) + part.leaves
-
-
-def _census(rep, walk, args, family, t_grid, L_max, kind, workers, force, budget, sink, profile=None):
-    """Gate, run walk(rep, (family,), grid, L_max, *args, sink, shard, budget)
-    over the worker shards, and wrap the family's counts as a CountSeries.
-    A Cartan walk adds its evaluated leaves to profile, when given."""
+    kind picks the shard task: _cartan_partial for KIND_CARTAN, else
+    _jordan_partial, or _box_partial when sector edges are given, counting
+    primitive classes only for KIND_JORDAN_PRIMITIVE.  The horizon is capped
+    at the grid's last T, and uncapped without families, where the grid is
+    not read.  A Cartan walk adds its evaluated leaves to
+    profile["cartan_leaves"], when profile is given.
+    """
     _gate_validated(rep, force)
+    if L_max < 1:
+        raise InsufficientData("need at least the length-1 stratum")
     if sink is not None and workers > 1:
         raise ValueError("a spectra sink requires workers=1 (callbacks do not cross processes)")
-    grid = _grid(t_grid)
-    task = functools.partial(walk, rep, (family,), grid, L_max, *args, sink, budget=budget)
-    part = _run_sharded(task, workers)
+    grid = np.asarray(grid, dtype=float)
+    if families and (grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0)):
+        raise ValueError("t_grid must be a nonempty strictly increasing 1-d array")
+    primitive_only = kind == KIND_JORDAN_PRIMITIVE
     if kind == KIND_CARTAN:
-        _count_leaves(profile, part)
+        task = functools.partial(_cartan_partial, rep, families, grid, L_max, sink)
+    elif kind not in (KIND_JORDAN, KIND_JORDAN_PRIMITIVE):
+        raise ValueError(f"unknown census kind {kind!r}")
+    elif edges is None:
+        task = functools.partial(_jordan_partial, rep, families, grid, L_max, primitive_only, sink)
+    else:
+        task = functools.partial(_box_partial, rep, families, grid, L_max, primitive_only, edges, sink)
+    part = _run_sharded(task, workers)
+    if profile is not None and kind == KIND_CARTAN:
+        profile["cartan_leaves"] = profile.get("cartan_leaves", 0) + part.leaves
+    return part, _horizon(part.c_min, L_max, float(grid[-1]) if families else math.inf)
+
+
+def _series(rep, kind, family, t_grid, L_max, workers, force, sink=None, edges=None, profile=None):
+    """_census of one family, its first count row as a CountSeries; returns
+    (series, the merged _Partial)."""
+    part, t_trust = _census(rep, kind, (family,), t_grid, L_max, workers, force, sink, edges, profile)
     series = CountSeries(
-        t_grid=tuple(grid),
-        counts=tuple(part.counts[0]),
+        t_grid=t_grid,
+        counts=part.counts[0],
         kind=kind,
         region=family.region_id,
         L_max=L_max,
-        t_trust=_horizon(part.c_min, L_max, float(grid[-1])),
+        t_trust=t_trust,
         c_min_hat=part.c_min,
         cumulative=family.cumulative,
     )
@@ -785,15 +795,11 @@ def census_jordan(
     primitive_only: bool = False,
     workers: int = 1,
     force: bool = False,
-    budget: Optional[int] = None,
     spectra_sink=None,
 ) -> CountSeries:
     """Count conjugacy classes whose Jordan vector lies in family(T), per grid T."""
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
-    return _census(
-        rep, _jordan_partial, (primitive_only,), family, t_grid, L_max, kind, workers, force,
-        budget, spectra_sink,
-    )[0]
+    return _series(rep, kind, family, t_grid, L_max, workers, force, spectra_sink)[0]
 
 
 def census_cartan(
@@ -803,7 +809,6 @@ def census_cartan(
     L_max: int,
     workers: int = 1,
     force: bool = False,
-    budget: Optional[int] = None,
     spectra_sink=None,
     profile: Optional[dict] = None,
 ) -> CountSeries:
@@ -813,9 +818,8 @@ def census_cartan(
     spectra sink reads every word; profile, when given, is a dict whose
     "cartan_leaves" the walk adds its evaluated words to.
     """
-    return _census(
-        rep, _cartan_partial, (), family, t_grid, L_max, KIND_CARTAN, workers, force, budget,
-        spectra_sink, profile,
+    return _series(
+        rep, KIND_CARTAN, family, t_grid, L_max, workers, force, spectra_sink, profile=profile
     )[0]
 
 
@@ -829,7 +833,6 @@ def census_box(
     primitive_only: bool = False,
     workers: int = 1,
     force: bool = False,
-    budget: Optional[int] = None,
     spectra_sink=None,
 ):
     """Moving-box census of Jordan vectors, optionally cross-classified by
@@ -847,10 +850,7 @@ def census_box(
         if abs(edges[0]) > 1e-12 or abs(edges[-1] - math.pi) > 1e-12:
             raise ValueError("sector edges must cover [0, pi] exactly")
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
-    series, part = _census(
-        rep, _box_partial, (primitive_only, edges), family, t_grid, L_max, kind, workers, force,
-        budget, spectra_sink,
-    )
+    series, part = _series(rep, kind, family, t_grid, L_max, workers, force, spectra_sink, edges)
     if edges is None:
         return series, None
     histograms = {}
@@ -875,7 +875,6 @@ def completeness_horizon(
     kind: str,
     workers: int = 1,
     force: bool = False,
-    budget: Optional[int] = None,
     profile: Optional[dict] = None,
 ) -> Tuple[float, float]:
     """(t_trust, c_min_hat) from the empirical minimal stretch per word length.
@@ -885,22 +884,11 @@ def completeness_horizon(
     letter, as the enumerated ones do, it is longer than c_min_hat * L_max
     and counts below the horizon are complete.  That premise is empirical:
     c_min_hat is a minimum over the enumerated items only, so the horizon
-    is an empirical estimate, not a certificate.
+    is an empirical estimate, not a certificate.  kind is a census kind, or
+    "jordan" or "cartan" for short.
     """
-    _gate_validated(rep, force)
-    if L_max < 1:
-        raise InsufficientData("need at least the length-1 stratum")
-    no_grid = np.empty(0)
-    if kind in (KIND_JORDAN, KIND_JORDAN_PRIMITIVE, "jordan"):
-        task = functools.partial(_jordan_partial, rep, (), no_grid, L_max, False, None, budget=budget)
-    elif kind in (KIND_CARTAN, "cartan"):
-        task = functools.partial(_cartan_partial, rep, (), no_grid, L_max, None, budget=budget)
-    else:
-        raise ValueError(f"unknown census kind {kind!r}")
-    part = _run_sharded(task, workers)
-    if kind in (KIND_CARTAN, "cartan"):
-        _count_leaves(profile, part)
-    c_min = part.c_min
-    if not math.isfinite(c_min):
+    kind = {"jordan": KIND_JORDAN, "cartan": KIND_CARTAN}.get(kind, kind)
+    part, t_trust = _census(rep, kind, (), (), L_max, workers, force, profile=profile)
+    if not math.isfinite(part.c_min):
         raise InsufficientData("enumeration produced no items")
-    return _horizon(c_min, L_max, math.inf), c_min
+    return t_trust, part.c_min

@@ -22,9 +22,7 @@ from .census import (
     CoordinateRayFamily,
     CountSeries,
     census_cartan,
-    _cartan_partial,
-    _census,
-    _jordan_partial,
+    _series,
 )
 from .errors import SpectraCensusError
 from .reps import Representation
@@ -183,7 +181,6 @@ def growth_indicator_ladder(
     source: str,
     workers: int = 1,
     force: bool = False,
-    budget: Optional[int] = None,
     profile: Optional[dict] = None,
 ) -> LadderResult:
     """Fitted growth rates in shrinking tubes/cones around a direction.
@@ -203,13 +200,8 @@ def growth_indicator_ladder(
     v = regions.unit(direction)
     spec = regions.ConeSpec if source == "jordan-cone" else regions.TubeSpec
     family = ApertureLadderFamily([spec(v, e) for e in eps])
-    if source == "cartan-tube":
-        walk, args, kind = _cartan_partial, (), KIND_CARTAN
-    else:
-        walk, args, kind = _jordan_partial, (False,), KIND_JORDAN
-    first, part = _census(
-        rep, walk, args, family, t_grid, L_max, kind, workers, force, budget, None, profile
-    )
+    kind = KIND_CARTAN if source == "cartan-tube" else KIND_JORDAN
+    first, part = _series(rep, kind, family, t_grid, L_max, workers, force, profile=profile)
     deltas: List[float] = []
     for e, counts in zip(eps, part.counts):
         if counts[-1] == 0:
@@ -242,7 +234,6 @@ def factor_critical_exponent(
     window: Optional[Tuple[float, float]] = None,
     workers: int = 1,
     force: bool = False,
-    budget: Optional[int] = None,
     profile: Optional[dict] = None,
 ) -> FitResult:
     """Critical exponent of one factor from rank-one displacement counting.
@@ -254,9 +245,7 @@ def factor_critical_exponent(
     # the displacement coordinate only involves its own factor
     sub = Representation(k=rep.k, factors=(rep.factors[factor_index],))
     family = CoordinateRayFamily(0, 1)
-    series = census_cartan(
-        sub, family, t_grid, L_max, workers=workers, force=force, budget=budget, profile=profile
-    )
+    series = census_cartan(sub, family, t_grid, L_max, workers=workers, force=force, profile=profile)
     return fit_growth(series, window=window, fix_alpha=0.0)
 
 

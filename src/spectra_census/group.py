@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from .errors import SpectraCensusError
 
@@ -115,17 +115,12 @@ def total_words(k: int, max_len: int) -> int:
     return sum(stratum_size(k, n) for n in range(1, max_len + 1))
 
 
-def word_budget(budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
+def _check_budget(k: int, max_len: int):
+    """Raise CapacityExceeded when the ball is over the word budget,
+    SPECTRA_CENSUS_MAX_WORDS or else DEFAULT_BUDGET, or when its top stratum
+    outgrows the int64 word indices of the vectorized walk."""
     env = os.environ.get(ENV_BUDGET)
-    return int(env) if env else DEFAULT_BUDGET
-
-
-def _check_budget(k: int, max_len: int, budget: Optional[int]):
-    """Raise CapacityExceeded when the ball is over budget, or when its top
-    stratum outgrows the int64 word indices of the vectorized walk."""
-    limit = word_budget(budget)
+    limit = int(env) if env else DEFAULT_BUDGET
     projected = total_words(k, max_len)
     if projected > limit:
         raise CapacityExceeded(
@@ -139,13 +134,13 @@ def _check_budget(k: int, max_len: int, budget: Optional[int]):
         )
 
 
-def enumerate_reduced_words(k: int, max_len: int, budget: Optional[int] = None) -> Iterator[Word]:
+def enumerate_reduced_words(k: int, max_len: int) -> Iterator[Word]:
     """All reduced words of length 1..max_len, depth-first in lexicographic order."""
     if k < 2:
         raise ValueError("rank must be at least 2")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    _check_budget(k, max_len, budget)
+    _check_budget(k, max_len)
     order = [code_letter(c) for c in range(2 * k)]
     stack = [(l,) for l in reversed(order)]
     while stack:
@@ -197,9 +192,7 @@ def canonical_rep(w: Word) -> CyclicWord:
     return CyclicWord(rot, period)
 
 
-def enumerate_conjugacy_classes(
-    k: int, max_core_len: int, budget: Optional[int] = None
-) -> Iterator[CyclicWord]:
+def enumerate_conjugacy_classes(k: int, max_core_len: int) -> Iterator[CyclicWord]:
     """Each nontrivial conjugacy class with cyclically reduced core length 1..max_core_len,
     exactly once, in (length, lexicographic) order.
 
@@ -210,7 +203,7 @@ def enumerate_conjugacy_classes(
         raise ValueError("rank must be at least 2")
     if max_core_len < 1:
         raise ValueError("max_core_len must be at least 1")
-    _check_budget(k, max_core_len, budget)
+    _check_budget(k, max_core_len)
     order = [code_letter(c) for c in range(2 * k)]
     for n in range(1, max_core_len + 1):
         stack = [(l,) for l in reversed(order)]

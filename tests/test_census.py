@@ -207,9 +207,10 @@ def test_holonomy_sectors_partition(complex_pair):
         assert sum(h.counts) == total
 
 
-def test_capacity_exceeded(two_factor_rep, tube_family):
+def test_capacity_exceeded(two_factor_rep, tube_family, monkeypatch):
+    monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", "1000")
     with pytest.raises(cn.CapacityExceeded):
-        cn.census_jordan(two_factor_rep, tube_family, GRID, 10, budget=1000)
+        cn.census_jordan(two_factor_rep, tube_family, GRID, 10)
 
 
 def test_unvalidated_rep_requires_force():
@@ -220,6 +221,30 @@ def test_unvalidated_rep_requires_force():
         cn.census_cartan(rep, family, np.array([5.0]), 3)
     series = cn.census_cartan(rep, family, np.array([5.0]), 3, force=True)
     assert series.counts[0] >= 0
+    # every other entry, on a loxodromic pair whose isometric circles overlap:
+    # a stretch and its conjugate by a rotation
+    a = np.diag([3.0, 1.0 / 3.0])
+    r = np.array([[math.cos(0.5), -math.sin(0.5)], [math.sin(0.5), math.cos(0.5)]])
+    gens = (rp.algebra.from_raw(a), rp.algebra.from_raw(r @ a @ r.T))
+    rep = rp.Representation(k=2, factors=(rp.Factor("real", gens),))
+    grid = np.arange(2.0, 30.0, 0.5) + 0.013
+
+    def ladder(source, **kw):
+        return ft.growth_indicator_ladder(rep, [1.0], [1.0], grid, 8, source, **kw)
+
+    entries = {
+        "census_jordan": lambda **kw: cn.census_jordan(rep, family, grid, 8, **kw),
+        "census_box": lambda **kw: cn.census_box(rep, [1.0], [1.0], grid, 8, **kw),
+        "jordan horizon": lambda **kw: cn.completeness_horizon(rep, 8, "jordan", **kw),
+        "cartan horizon": lambda **kw: cn.completeness_horizon(rep, 8, "cartan", **kw),
+        "cartan ladder": lambda **kw: ladder("cartan-tube", **kw),
+        "jordan ladder": lambda **kw: ladder("jordan-tube", **kw),
+        "factor exponent": lambda **kw: ft.factor_critical_exponent(rep, 0, grid, 8, **kw),
+    }
+    for name, entry in entries.items():
+        with pytest.raises(rp.PingPongFailure):
+            entry()
+        assert entry(force=True) is not None, name
 
 
 def test_horizon_matches_naive_minimum(two_factor_rep):
@@ -299,15 +324,15 @@ def test_worker_crash_is_a_census_error():
 
 def test_int64_overflow_is_capacity_exceeded(real_pair, monkeypatch):
     # 4 * 3^44 words in the top stratum: inside the budget, beyond int64 indices
-    with pytest.raises(cn.CapacityExceeded, match="int64"):
-        next(cn.iter_word_chunks(real_pair, 45, budget=10**30))
-    with pytest.raises(cn.CapacityExceeded, match="int64"):
-        next(cn.iter_class_chunks(real_pair, 45, budget=10**30))
     monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", str(10**30))
+    with pytest.raises(cn.CapacityExceeded, match="int64"):
+        next(cn.iter_word_chunks(real_pair, 45))
+    with pytest.raises(cn.CapacityExceeded, match="int64"):
+        next(cn.iter_class_chunks(real_pair, 45))
     with pytest.raises(cn.CapacityExceeded, match="int64"):
         cn.census_cartan(real_pair, cn.CoordinateRayFamily(0, 1), GRID, 45)
     # the largest rank-2 length whose top stratum still fits int64 passes the gate
-    assert next(cn.iter_word_chunks(real_pair, 39, budget=10**30))[0].shape == (4, 1)
+    assert next(cn.iter_word_chunks(real_pair, 39))[0].shape == (4, 1)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -320,3 +345,13 @@ def test_workers_below_one_rejected(real_pair, workers):
         cn.completeness_horizon(real_pair, 4, "jordan", workers=workers)
     with pytest.raises(ValueError, match="workers"):
         ft.growth_indicator_ladder(real_pair, v, [1.0, 0.5], grid, 4, "cartan-tube", workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        cn.census_jordan(real_pair, cn.TubeBallFamily(rg.TubeSpec(v, 0.5)), grid, 4, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        cn.census_box(real_pair, v, [1.0], grid, 4, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        cn.completeness_horizon(real_pair, 4, "cartan", workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        ft.growth_indicator_ladder(real_pair, v, [1.0, 0.5], grid, 4, "jordan-tube", workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        ft.factor_critical_exponent(real_pair, 0, grid, 4, workers=workers)

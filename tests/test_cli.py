@@ -379,6 +379,32 @@ def test_integer_fields_must_be_integers(tmp_path, doc, key, value):
     assert not (out / "MANIFEST.json").exists()
 
 
+LADDER = {
+    "kind": "ladder",
+    "representation": PAIR,
+    "direction": [1.0],
+    "epsilons": [2.0, 1.0],
+    "source": "cartan-tube",
+    "t_grid": {"t_min": 2.0, "t_max": 14.0, "step": 0.5},
+    "L_max": 7,
+}
+
+
+@pytest.mark.parametrize("L_max", [0, -3])
+@pytest.mark.parametrize(
+    "doc", [CARTAN, dict(CARTAN, kind="census-jordan"), BOX, LADDER],
+    ids=["census-cartan", "census-jordan", "census-box", "ladder"],
+)
+def test_L_max_below_one_is_insufficient_data(tmp_path, doc, L_max):
+    # an empty ball has no c_min_hat: no series and no Infinity in a MANIFEST
+    cfg = write_config(tmp_path, "c.json", dict(doc, L_max=L_max))
+    out = tmp_path / "out"
+    assert cli.main([doc["kind"], "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "census.InsufficientData"
+    assert not (out / "MANIFEST.json").exists()
+
+
 def test_integer_fields_accept_integral_values():
     assert cli._integer("L_max", 6) == 6
     assert cli._integer("L_max", 6.0) == 6

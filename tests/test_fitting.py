@@ -246,9 +246,11 @@ def test_ladder_memory_flat_in_L_max(two_factor_rep):
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
-def test_ladder_capacity_checked_before_walk(real_pair):
+def test_ladder_capacity_checked_before_walk(real_pair, monkeypatch):
     grid = np.arange(2.0, 14.0, 0.5) + 0.013
+    monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", str(10**30))
     with pytest.raises(cn.CapacityExceeded, match="int64"):
-        ft.growth_indicator_ladder(real_pair, (1.0,), [1.0], grid, 45, "cartan-tube", budget=10**30)
+        ft.growth_indicator_ladder(real_pair, (1.0,), [1.0], grid, 45, "cartan-tube")
+    monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", "1000")
     with pytest.raises(cn.CapacityExceeded):
-        ft.growth_indicator_ladder(real_pair, (1.0,), [1.0], grid, 10, "jordan-tube", budget=1000)
+        ft.growth_indicator_ladder(real_pair, (1.0,), [1.0], grid, 10, "jordan-tube")

@@ -50,16 +50,18 @@ def test_words_are_reduced_and_unique():
         seen.add(w.letters)
 
 
-def test_capacity_exceeded():
+def test_capacity_exceeded(monkeypatch):
+    monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", "100")
     with pytest.raises(gr.CapacityExceeded):
-        list(gr.enumerate_reduced_words(2, 10, budget=100))
+        list(gr.enumerate_reduced_words(2, 10))
     with pytest.raises(gr.CapacityExceeded):
-        list(gr.enumerate_conjugacy_classes(2, 10, budget=100))
+        list(gr.enumerate_conjugacy_classes(2, 10))
     # top stratum 4 * 3^44 is within the budget but beyond int64 word indices
+    monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", str(10**30))
     with pytest.raises(gr.CapacityExceeded, match="int64"):
-        next(gr.enumerate_reduced_words(2, 45, budget=10**30))
+        next(gr.enumerate_reduced_words(2, 45))
     with pytest.raises(gr.CapacityExceeded, match="int64"):
-        next(gr.enumerate_conjugacy_classes(2, 45, budget=10**30))
+        next(gr.enumerate_conjugacy_classes(2, 45))
 
 
 def test_cyclic_reduce_examples():

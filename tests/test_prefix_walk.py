@@ -112,14 +112,13 @@ def _outcome(jordan, P, S, is_complex):
 
 
 def _walk(k, n, lo, hi, mats, logs):
-    """prefix_walk's blocks, checked to tile [lo, hi) in order with 1..BLOCK
-    rows each, concatenated into one (P, S)."""
-    blocks = list(cn.prefix_walk(k, n, lo, hi, mats, logs))
-    assert [b[0] for b in blocks] == [0] + list(np.cumsum([b[2].size for b in blocks[:-1]]))
-    assert all(1 <= b[2].size <= cn.BLOCK and all(x.size == b[2].size for x in b[1]) for b in blocks)
-    assert sum(b[2].size for b in blocks) == hi - lo
-    P = tuple(np.concatenate([b[1][j] for b in blocks]) for j in range(4))
-    return P, np.concatenate([b[2] for b in blocks])
+    """_fold_walk's unpruned one-factor blocks, checked to tile [lo, hi) with
+    1..BLOCK rows each, concatenated in order into one (P, S)."""
+    blocks = [evals for (evals,) in cn._fold_walk(k, n, lo, hi, [(mats, logs)])]
+    assert all(1 <= S.size <= cn.BLOCK and all(x.size == S.size for x in P) for P, S in blocks)
+    assert sum(S.size for _, S in blocks) == hi - lo
+    P = tuple(np.concatenate([b[0][j] for b in blocks]) for j in range(4))
+    return P, np.concatenate([S for _, S in blocks])
 
 
 def _ranges(total: int, chunk: int, offset: int):

@@ -155,10 +155,7 @@ def _families(d):
 def _run(rep, family, workers, L_max=9):
     grid = np.arange(3.0, 9.0 + 9.0 * rep.d, 0.7) + 0.013
     profile = {}
-    series, part = cn._census(
-        rep, cn._cartan_partial, (), family, grid, L_max, cn.KIND_CARTAN, workers, False, None,
-        None, profile,
-    )
+    series, part = cn._series(rep, cn.KIND_CARTAN, family, grid, L_max, workers, False, profile=profile)
     return part.counts, series.c_min_hat, series.t_trust, profile["cartan_leaves"]
 
 
