@@ -63,6 +63,26 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _number(key: str, value) -> float:
+    """A config field that measures something: a finite float.  json.load
+    reads NaN and Infinity, which no comparison downstream rejects; a value
+    float() cannot read raises its TypeError or ValueError."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"'{key}' must be a finite number, got {value!r}")
+    return number
+
+
+def _vector(key: str, value, d: int) -> list:
+    """A config field that is a point of R^d: a list of d finite numbers."""
+    if not isinstance(value, list) or len(value) != d:
+        raise SchemaError(f"'{key}' must be a list of length {d}")
+    return [_number(key, x) for x in value]
+
+
 def parse_representation(doc, base_dir: Path) -> reps.Representation:
     if isinstance(doc, str):
         doc = _load_config(str(base_dir / doc))
@@ -74,15 +94,13 @@ def parse_representation(doc, base_dir: Path) -> reps.Representation:
         return _build_factor(doc)
     factors = doc.get("factors")
     if isinstance(factors, list) and any(isinstance(f, dict) and "builder" in f for f in factors):
-        built = [_build_factor(f) if "builder" in f else None for f in factors]
-        expanded = []
-        for f, b in zip(factors, built):
-            expanded.append(reps.to_document(b)["factors"][0] if b is not None else f)
-        ranks = {b.k for b in built if b is not None}
-        rank = doc.get("rank", ranks.pop() if len(ranks) == 1 else None)
-        if rank is None:
-            raise SchemaError("mixed factor styles need an explicit 'rank'")
-        return reps.load_representation({"rank": rank, "factors": expanded})
+        # every builder is rank 2; an explicit factor beside one is read alone
+        rank = doc.get("rank", 2)
+        return reps.join(*(
+            _build_factor(f) if isinstance(f, dict) and "builder" in f
+            else reps.load_representation({"rank": rank, "factors": [f]})
+            for f in factors
+        ))
     return reps.load_representation(doc)
 
 
@@ -91,20 +109,20 @@ def _build_factor(doc: dict) -> reps.Representation:
     if name != "schottky_pair":
         raise SchemaError(f"unknown builder {name!r}")
     try:
-        stretch = float(doc["stretch"])
-        separation = float(doc["separation"])
+        stretch = _number("stretch", doc["stretch"])
+        separation = _number("separation", doc["separation"])
     except (KeyError, TypeError, ValueError):
         raise SchemaError("schottky_pair needs numeric 'stretch' and 'separation'") from None
     field = doc.get("field", "real")
     twist = doc.get("twist")
-    return reps.schottky_pair(stretch, separation, field, None if twist is None else float(twist))
+    return reps.schottky_pair(stretch, separation, field, None if twist is None else _number("twist", twist))
 
 
 def parse_grid(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise SchemaError("'t_grid' must be a mapping {t_min, t_max, step}")
     try:
-        t_min, t_max, step = float(doc["t_min"]), float(doc["t_max"]), float(doc["step"])
+        t_min, t_max, step = (_number(key, doc[key]) for key in ("t_min", "t_max", "step"))
     except (KeyError, TypeError, ValueError):
         raise SchemaError("'t_grid' needs numeric t_min, t_max, step") from None
     if step <= 0 or t_max <= t_min:
@@ -117,38 +135,45 @@ def parse_region(doc, d: int):
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError("'region' must be a mapping with a 'type'")
     rtype = doc["type"]
-    direction = doc.get("direction")
-    if not isinstance(direction, list) or len(direction) != d:
-        raise SchemaError(f"region direction must be a list of length {d}")
     try:
+        direction = _vector("direction", doc.get("direction"), d)
         if rtype == "tube":
+            offset = doc.get("offset")
             spec = regions.TubeSpec(
-                regions.unit(direction), float(doc["epsilon"]), doc.get("offset")
+                regions.unit(direction),
+                _number("epsilon", doc["epsilon"]),
+                None if offset is None else [_number("offset", x) for x in offset],
             )
             return census.TubeBallFamily(spec)
         if rtype == "cone":
-            spec = regions.ConeSpec(regions.unit(direction), float(doc["half_angle"]))
+            spec = regions.ConeSpec(regions.unit(direction), _number("half_angle", doc["half_angle"]))
             return census.ConeBallFamily(spec)
         if rtype == "box":
-            widths = doc.get("widths")
-            if not isinstance(widths, list) or len(widths) != d:
-                raise SchemaError(f"box widths must be a list of length {d}")
-            return census.BoxWindowFamily(direction, widths)
+            return census.BoxWindowFamily(direction, _vector("widths", doc.get("widths"), d))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad region spec: {exc}") from None
     raise SchemaError(f"unknown region type {rtype!r}")
 
 
-def _direction(config, rep, key="direction"):
-    doc = config.get(key, "auto")
+def _direction(config, rep):
+    doc = config.get("direction", "auto")
     if doc == "auto":
         if rep.d != 2:
             raise SchemaError("direction 'auto' needs exactly two factors")
         dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
         return regions.unit([1.0, 0.5 * (dep.m_hat + dep.M_hat)]), dep
-    if not isinstance(doc, list) or len(doc) != rep.d:
-        raise SchemaError(f"'{key}' must be 'auto' or a list of length {rep.d}")
-    return regions.unit([float(x) for x in doc]), None
+    return regions.unit(_vector("direction", doc, rep.d)), None
+
+
+def _sector_edges(doc):
+    if doc is None:
+        return None
+    if isinstance(doc, list):
+        return [_number("sectors", x) for x in doc]
+    bins = _integer("sectors", doc)
+    if bins < 1:
+        raise SchemaError("'sectors' bin count must be positive")
+    return list(np.linspace(0.0, math.pi, bins + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -162,80 +187,79 @@ def _writer(path: Path):
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
-def write_series_csv(series: CountSeries, path: Path):
+def _table(path: Path, header, rows):
+    """A CSV table: the header row, then rows, each line ended by '\\n'."""
     with _writer(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["T", "count", "trusted", "kind", "region"])
-        for t, c, tr in zip(series.t_grid, series.counts, series.trusted):
-            w.writerow([format(t, F17), c, int(tr), series.kind, series.region])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_series_csv(series: CountSeries, path: Path):
+    _table(
+        path,
+        ["T", "count", "trusted", "kind", "region"],
+        ([format(t, F17), c, int(tr), series.kind, series.region]
+         for t, c, tr in zip(series.t_grid, series.counts, series.trusted)),
+    )
 
 
 def write_histograms_csv(histograms, path: Path):
-    with _writer(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["factor", "T", "sector_lo", "sector_hi", "count"])
-        for factor, hists in sorted(histograms.items()):
-            for h in hists:
-                for lo, hi, c in zip(h.sector_edges, h.sector_edges[1:], h.counts):
-                    w.writerow(
-                        [factor, format(h.time, F17), format(lo, F17), format(hi, F17), c]
-                    )
+    _table(
+        path,
+        ["factor", "T", "sector_lo", "sector_hi", "count"],
+        ([factor, format(h.time, F17), format(lo, F17), format(hi, F17), c]
+         for factor, hists in sorted(histograms.items())
+         for h in hists
+         for lo, hi, c in zip(h.sector_edges, h.sector_edges[1:], h.counts)),
+    )
 
 
 def write_fit_csv(fit: FitResult, path: Path, label: str = "fit"):
-    with _writer(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["label", "delta_hat", "alpha_hat", "log_c_hat", "t_lo", "t_hi", "rms_residual", "n_points"]
-        )
-        w.writerow(
-            [
-                label,
-                format(fit.delta_hat, F17),
-                format(fit.alpha_hat, F17),
-                format(fit.log_c_hat, F17),
-                format(fit.window[0], F17),
-                format(fit.window[1], F17),
-                format(fit.rms_residual, F17),
-                fit.n_points,
-            ]
-        )
+    floats = (fit.delta_hat, fit.alpha_hat, fit.log_c_hat, *fit.window, fit.rms_residual)
+    _table(
+        path,
+        ["label", "delta_hat", "alpha_hat", "log_c_hat", "t_lo", "t_hi", "rms_residual", "n_points"],
+        [[label, *(format(x, F17) for x in floats), fit.n_points]],
+    )
 
 
 def write_ladder_csv(ladder: LadderResult, path: Path):
-    with _writer(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["source", "epsilon", "delta_hat", "extrapolated"])
-        for e, dh in zip(ladder.epsilons, ladder.delta_hats):
-            w.writerow(
-                [ladder.source, format(e, F17), format(dh, F17), format(ladder.extrapolated, F17)]
-            )
+    _table(
+        path,
+        ["source", "epsilon", "delta_hat", "extrapolated"],
+        ([ladder.source, format(e, F17), format(dh, F17), format(ladder.extrapolated, F17)]
+         for e, dh in zip(ladder.epsilons, ladder.delta_hats)),
+    )
 
 
 def emit_plot_data(artifact, path: Path):
     """Gnuplot-ready whitespace-separated columns with a one-line header."""
+    if isinstance(artifact, CountSeries):
+        header = "T count trusted"
+        rows = ((format(t, F17), c, int(tr))
+                for t, c, tr in zip(artifact.t_grid, artifact.counts, artifact.trusted))
+    elif isinstance(artifact, LadderResult):
+        header = "epsilon delta_hat"
+        rows = ((format(e, F17), format(dh, F17))
+                for e, dh in zip(artifact.epsilons, artifact.delta_hats))
+    elif (
+        isinstance(artifact, tuple)
+        and len(artifact) == 2
+        and isinstance(artifact[0], CountSeries)
+        and isinstance(artifact[1], FitResult)
+    ):
+        series, fit = artifact
+        header = "T count model"
+        rows = ((format(t, F17), c,
+                 format(math.exp(fit.delta_hat * t + fit.log_c_hat) / t**fit.alpha_hat, F17))
+                for t, c in zip(series.t_grid, series.counts))
+    else:
+        raise IoError(f"no plot emitter for {type(artifact).__name__}")
     with _writer(path) as fh:
-        if isinstance(artifact, CountSeries):
-            fh.write("# T count trusted\n")
-            for t, c, tr in zip(artifact.t_grid, artifact.counts, artifact.trusted):
-                fh.write(f"{format(t, F17)} {c} {int(tr)}\n")
-        elif isinstance(artifact, LadderResult):
-            fh.write("# epsilon delta_hat\n")
-            for e, dh in zip(artifact.epsilons, artifact.delta_hats):
-                fh.write(f"{format(e, F17)} {format(dh, F17)}\n")
-        elif (
-            isinstance(artifact, tuple)
-            and len(artifact) == 2
-            and isinstance(artifact[0], CountSeries)
-            and isinstance(artifact[1], FitResult)
-        ):
-            series, fit = artifact
-            fh.write("# T count model\n")
-            for t, c in zip(series.t_grid, series.counts):
-                model = math.exp(fit.delta_hat * t + fit.log_c_hat) / t**fit.alpha_hat
-                fh.write(f"{format(t, F17)} {c} {format(model, F17)}\n")
-        else:
-            raise IoError(f"no plot emitter for {type(artifact).__name__}")
+        fh.write(f"# {header}\n")
+        for row in rows:
+            fh.write(" ".join(str(x) for x in row) + "\n")
 
 
 class SpectraDump:
@@ -262,43 +286,54 @@ class SpectraDump:
         self.fh.close()
 
 
-# ---------------------------------------------------------------------------
-# experiment runners
+def _finite(value):
+    """value with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
-def _manifest(out: Path, command: str, config: dict, extra: dict, t0: float, workers: int):
+def _manifest(out: Path, args, config: dict, extra: dict, rep=None):
+    """Write MANIFEST.json: the command, config echo, workers, versions, the
+    wall time since main started, and extra.  A run whose Cartan walks added
+    to args.profile also gets a "profile" block: each factor of rep's
+    certified defect constant (None where the lemma does not apply) and the
+    Cartan vectors evaluated, summed over shards and walks.  The file is
+    strict JSON: a non-finite float, such as the -inf rate of a ladder off
+    the spectrum cone, is written as null."""
     doc = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "workers": workers,
+        "workers": args.workers,
         "versions": {
             "spectra_census": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.time() - args.t0, 3),
+        **extra,
     }
-    doc.update(extra)
+    if "cartan_leaves" in args.profile:
+        doc["profile"] = {
+            "defect_constants": [reps.defect_constant(f) for f in rep.factors],
+            "cartan_leaves": args.profile["cartan_leaves"],
+        }
     with _writer(out / "MANIFEST.json") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_finite(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _profile(rep, counters: dict) -> dict:
-    """The MANIFEST "profile" block of a run whose Cartan walks added to
-    counters: each factor's certified defect constant (None where the lemma
-    does not apply) and the Cartan vectors evaluated, summed over shards and
-    walks.  Empty for a run that walked no Cartan word."""
-    if "cartan_leaves" not in counters:
-        return {}
-    constants = [reps.defect_constant(f) for f in rep.factors]
-    return {"profile": {"defect_constants": constants, "cartan_leaves": counters["cartan_leaves"]}}
+# ---------------------------------------------------------------------------
+# experiment runners
 
 
 def run_validate(config, args, out: Path) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
-    t0 = time.time()
-    reports = reps.validate_representation(rep, float(config.get("tol", 1e-9)))
+    reports = reps.validate_representation(rep, _number("tol", config.get("tol", 1e-9)))
     lines = []
     for i, r in enumerate(reports):
         lines.append(
@@ -310,104 +345,63 @@ def run_validate(config, args, out: Path) -> int:
     with _writer(out / "validation.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     passed = all(r.passed for r in reports)
-    _manifest(
-        out,
-        "validate",
-        config,
-        {"passed": passed, "margins": [r.margin for r in reports]},
-        t0,
-        args.workers,
-    )
+    _manifest(out, args, config, {"passed": passed, "margins": [r.margin for r in reports]})
     if not passed:
         _error_record(out, reps.PingPongFailure("one or more factors failed validation"))
         return 1
     return 0
 
 
-def _series_run(config, args, out: Path, which: str) -> int:
+def _series_run(config, args, out: Path) -> int:
+    """census-jordan, census-cartan and census-box, by args.command."""
     rep = parse_representation(config["representation"], args.base_dir)
     grid = parse_grid(config["t_grid"])
     L_max = _integer("L_max", config["L_max"])
     if args.dump_spectra and args.workers > 1:
         raise SchemaError("--dump-spectra needs --workers 1 (the dump is written in one process)")
-    t0 = time.time()
-    if which == "census-box":
+    if args.command == "census-box":
         direction, _ = _direction(config, rep)
-        widths = config.get("widths")
-        if not isinstance(widths, list) or len(widths) != rep.d:
-            raise SchemaError(f"'widths' must be a list of length {rep.d}")
+        widths = _vector("widths", config.get("widths"), rep.d)
         sectors = _sector_edges(config.get("sectors"))
     else:
         family = parse_region(config["region"], rep.d)
     dump = None
-    counters: dict = {}
     if args.dump_spectra:
-        kind = "cartan" if which == "census-cartan" else "jordan"
+        kind = "cartan" if args.command == "census-cartan" else "jordan"
         dump = SpectraDump(out / "spectra.csv", rep.d, kind)
+    walk = dict(workers=args.workers, force=args.force, spectra_sink=dump)
+    primitive_only = bool(config.get("primitive_only", False))
     try:
-        if which == "census-box":
+        if args.command == "census-box":
             series, hists = census.census_box(
-                rep,
-                direction,
-                [float(x) for x in widths],
-                grid,
-                L_max,
-                sectors=sectors,
-                primitive_only=bool(config.get("primitive_only", False)),
-                workers=args.workers,
-                force=args.force,
-                spectra_sink=dump,
+                rep, direction, widths, grid, L_max, sectors=sectors,
+                primitive_only=primitive_only, **walk,
             )
             if hists:
                 write_histograms_csv(hists, out / "holonomy.csv")
-        elif which == "census-jordan":
+        elif args.command == "census-jordan":
             series = census.census_jordan(
-                rep,
-                family,
-                grid,
-                L_max,
-                primitive_only=bool(config.get("primitive_only", False)),
-                workers=args.workers,
-                force=args.force,
-                spectra_sink=dump,
+                rep, family, grid, L_max, primitive_only=primitive_only, **walk
             )
         else:
-            series = census.census_cartan(
-                rep, family, grid, L_max, workers=args.workers, force=args.force,
-                spectra_sink=dump, profile=counters,
-            )
+            series = census.census_cartan(rep, family, grid, L_max, profile=args.profile, **walk)
     finally:
         if dump is not None:
             dump.close()
     write_series_csv(series, out / "series.csv")
     emit_plot_data(series, out / "series.dat")
     _manifest(
-        out,
-        which,
-        config,
+        out, args, config,
         {"t_trust": series.t_trust, "c_min_hat": series.c_min_hat, "kind": series.kind,
-         "region": series.region, **_profile(rep, counters)},
-        t0,
-        args.workers,
+         "region": series.region},
+        rep,
     )
     return 0
-
-
-def _sector_edges(doc):
-    if doc is None:
-        return None
-    if isinstance(doc, list):
-        return [float(x) for x in doc]
-    bins = _integer("sectors", doc)
-    if bins < 1:
-        raise SchemaError("'sectors' bin count must be positive")
-    return list(np.linspace(0.0, math.pi, bins + 1))
 
 
 def run_ladder(config, args, out: Path) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
     grid = parse_grid(config["t_grid"])
-    t0 = time.time()
     direction, _ = _direction(config, rep)
     source = config.get("source")
     if source not in fitting.LADDER_SOURCES:
@@ -415,26 +409,22 @@ def run_ladder(config, args, out: Path) -> int:
     epsilons = config.get("epsilons")
     if not isinstance(epsilons, list) or not epsilons:
         raise SchemaError("'epsilons' must be a nonempty decreasing list")
-    counters: dict = {}
     ladder = fitting.growth_indicator_ladder(
-        rep, direction, [float(e) for e in epsilons], grid, _integer("L_max", config["L_max"]),
-        source, workers=args.workers, force=args.force, profile=counters,
+        rep, direction, [_number("epsilons", e) for e in epsilons], grid,
+        _integer("L_max", config["L_max"]), source,
+        workers=args.workers, force=args.force, profile=args.profile,
     )
     write_ladder_csv(ladder, out / "ladder.csv")
     emit_plot_data(ladder, out / "ladder.dat")
     _manifest(
-        out,
-        "ladder",
-        config,
+        out, args, config,
         {
             "extrapolated": ladder.extrapolated,
             "direction": list(ladder.direction),
             "t_trust": ladder.t_trust,
             "c_min_hat": ladder.c_min_hat,
-            **_profile(rep, counters),
         },
-        t0,
-        args.workers,
+        rep,
     )
     return 0
 
@@ -445,16 +435,12 @@ def run_correlate(config, args, out: Path) -> int:
         raise SchemaError("correlate needs at least two factors")
     grid = parse_grid(config["t_grid"])
     L_max = _integer("L_max", config["L_max"])
-    t0 = time.time()
     direction, dep = _direction(config, rep)
     if dep is None:
         dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
-    widths = config.get("widths")
-    if not isinstance(widths, list) or len(widths) != rep.d:
-        raise SchemaError(f"'widths' must be a list of length {rep.d}")
+    widths = _vector("widths", config.get("widths"), rep.d)
     series, _ = census.census_box(
-        rep, direction, [float(x) for x in widths], grid, L_max,
-        workers=args.workers, force=args.force,
+        rep, direction, widths, grid, L_max, workers=args.workers, force=args.force,
     )
     write_series_csv(series, out / "box_series.csv")
     emit_plot_data(series, out / "box_series.dat")
@@ -464,10 +450,9 @@ def run_correlate(config, args, out: Path) -> int:
     emit_plot_data((populated, fit), out / "box_fit.dat")
 
     fgrid = parse_grid(config.get("factor_t_grid", config["t_grid"]))
-    counters: dict = {}
     factor_fits = [
         fitting.factor_critical_exponent(
-            rep, i, fgrid, L_max, workers=args.workers, force=args.force, profile=counters
+            rep, i, fgrid, L_max, workers=args.workers, force=args.force, profile=args.profile
         )
         for i in range(rep.d)
     ]
@@ -477,7 +462,7 @@ def run_correlate(config, args, out: Path) -> int:
         fit.delta_hat,
         [f.delta_hat for f in factor_fits],
         direction,
-        tol=float(config.get("bounds_tol", 0.1)),
+        tol=_number("bounds_tol", config.get("bounds_tol", 0.1)),
     )
     _write_bounds(bounds, out)
     extra = {
@@ -487,35 +472,31 @@ def run_correlate(config, args, out: Path) -> int:
         "t_trust": series.t_trust,
         "c_min_hat": series.c_min_hat,
         "bounds_pass": bool(bounds.pass_min_bound and (bounds.pass_mean_bound is not False)),
+        "dependence": {
+            "rank": dep.rank,
+            "dependent": dep.dependent,
+            "m_hat": dep.m_hat,
+            "M_hat": dep.M_hat,
+            "probe_core_length": dep.probe_core_length,
+        },
     }
-    extra["dependence"] = {
-        "rank": dep.rank,
-        "dependent": dep.dependent,
-        "m_hat": dep.m_hat,
-        "M_hat": dep.M_hat,
-        "probe_core_length": dep.probe_core_length,
-    }
-    extra.update(_profile(rep, counters))
-    _manifest(out, "correlate", config, extra, t0, args.workers)
+    _manifest(out, args, config, extra, rep)
     return 0
 
 
 def _write_bounds(bounds, out: Path):
-    with _writer(out / "bounds.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["delta_hat", "slack_min_bound", "slack_mean_bound", "tol", "pass_min", "pass_mean"]
-        )
-        w.writerow(
-            [
-                format(bounds.delta_hat, F17),
-                format(bounds.slack_min_bound, F17),
-                "" if bounds.slack_mean_bound is None else format(bounds.slack_mean_bound, F17),
-                format(bounds.tol, F17),
-                int(bounds.pass_min_bound),
-                "" if bounds.pass_mean_bound is None else int(bounds.pass_mean_bound),
-            ]
-        )
+    _table(
+        out / "bounds.csv",
+        ["delta_hat", "slack_min_bound", "slack_mean_bound", "tol", "pass_min", "pass_mean"],
+        [[
+            format(bounds.delta_hat, F17),
+            format(bounds.slack_min_bound, F17),
+            "" if bounds.slack_mean_bound is None else format(bounds.slack_mean_bound, F17),
+            format(bounds.tol, F17),
+            int(bounds.pass_min_bound),
+            "" if bounds.pass_mean_bound is None else int(bounds.pass_mean_bound),
+        ]],
+    )
     lines = [
         f"fitted correlation rate delta_hat = {bounds.delta_hat:.6g} along v = {bounds.direction}",
         f"factor rates = {tuple(round(x, 6) for x in bounds.factor_deltas)}",
@@ -535,32 +516,23 @@ def run_ratio(config, args, out: Path) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
     grid = parse_grid(config["t_grid"])
     L_max = _integer("L_max", config["L_max"])
-    t0 = time.time()
     family = parse_region(config["region"], rep.d)
     jordan = census.census_jordan(rep, family, grid, L_max, workers=args.workers, force=args.force)
-    counters: dict = {}
     cartan = census.census_cartan(
-        rep, family, grid, L_max, workers=args.workers, force=args.force, profile=counters
+        rep, family, grid, L_max, workers=args.workers, force=args.force, profile=args.profile
     )
     write_series_csv(jordan, out / "jordan_series.csv")
     write_series_csv(cartan, out / "cartan_series.csv")
     window = config.get("window")
     ratio = fitting.jordan_cartan_ratio(
-        cartan, jordan, None if window is None else (float(window[0]), float(window[1]))
+        cartan, jordan, None if window is None else tuple(_vector("window", window, 2))
     )
-    with _writer(out / "ratio.csv") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["slope", "intercept", "r_squared", "t_lo", "t_hi", "n_points"])
-        w.writerow(
-            [
-                format(ratio.slope, F17),
-                format(ratio.intercept, F17),
-                format(ratio.r_squared, F17),
-                format(ratio.window[0], F17),
-                format(ratio.window[1], F17),
-                ratio.n_points,
-            ]
-        )
+    _table(
+        out / "ratio.csv",
+        ["slope", "intercept", "r_squared", "t_lo", "t_hi", "n_points"],
+        [[*(format(x, F17) for x in (ratio.slope, ratio.intercept, ratio.r_squared, *ratio.window)),
+          ratio.n_points]],
+    )
     warn = ratio.r_squared < 0.85
     if warn:
         with _writer(out / "ratio_warning.txt") as fh:
@@ -569,23 +541,18 @@ def run_ratio(config, args, out: Path) -> int:
                 "not resolved at this horizon (slope sign is still reported)\n"
             )
     _manifest(
-        out,
-        "ratio",
-        config,
+        out, args, config,
         {"slope": ratio.slope, "intercept": ratio.intercept, "r_squared": ratio.r_squared,
          "warned": warn,
          "t_trust": {"jordan": jordan.t_trust, "cartan": cartan.t_trust},
-         "c_min_hat": {"jordan": jordan.c_min_hat, "cartan": cartan.c_min_hat},
-         **_profile(rep, counters)},
-        t0,
-        args.workers,
+         "c_min_hat": {"jordan": jordan.c_min_hat, "cartan": cartan.c_min_hat}},
+        rep,
     )
     return 0
 
 
 def run_report(config, args, out: Path) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
-    t0 = time.time()
     L_max = _integer("L_max", config.get("L_max", 8))
     lines = [f"representation: d={rep.d} factors, rank k={rep.k}"]
     reports = reps.validate_representation(rep)
@@ -601,18 +568,16 @@ def run_report(config, args, out: Path) -> int:
         if dep.m_hat is not None:
             lines.append(f"stretch ratio range: m_hat={dep.m_hat:.6g} M_hat={dep.M_hat:.6g}")
         extra["dependence_rank"] = dep.rank
-    counters: dict = {}
     for kind in ("jordan", "cartan"):
         t_trust, c_min = census.completeness_horizon(
-            rep, L_max, kind, workers=args.workers, force=args.force, profile=counters
+            rep, L_max, kind, workers=args.workers, force=args.force, profile=args.profile
         )
         lines.append(f"{kind} horizon at L_max={L_max}: c_min_hat={c_min:.6g} T_trust={t_trust:.6g}")
         extra[f"{kind}_t_trust"] = t_trust
         extra[f"{kind}_c_min_hat"] = c_min
     with _writer(out / "report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
-    extra.update(_profile(rep, counters))
-    _manifest(out, "report", config, extra, t0, args.workers)
+    _manifest(out, args, config, extra, rep)
     return 0
 
 
@@ -622,9 +587,9 @@ def run_report(config, args, out: Path) -> int:
 
 RUNNERS = {
     "validate": run_validate,
-    "census-jordan": lambda c, a, o: _series_run(c, a, o, "census-jordan"),
-    "census-cartan": lambda c, a, o: _series_run(c, a, o, "census-cartan"),
-    "census-box": lambda c, a, o: _series_run(c, a, o, "census-box"),
+    "census-jordan": _series_run,
+    "census-cartan": _series_run,
+    "census-box": _series_run,
     "ladder": run_ladder,
     "correlate": run_correlate,
     "ratio": run_ratio,
@@ -660,13 +625,17 @@ def main(argv: Optional[list] = None) -> int:
         if name.startswith("census-"):
             p.add_argument("--dump-spectra", action="store_true", dest="dump_spectra")
     args = parser.parse_args(argv)
+    args.base_dir = Path(args.config).resolve().parent
+    # _manifest reads the wall time from t0; Cartan walks add their counters
+    # to profile, which _manifest writes as the "profile" block
+    args.t0, args.profile = time.time(), {}
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    args.base_dir = Path(args.config).resolve().parent
-
-    config = None
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot create {out}: {exc}") from None
         if args.workers < 1:
             raise SchemaError(f"--workers must be at least 1, got {args.workers}")
         config = _load_config(args.config)

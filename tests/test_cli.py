@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -405,6 +406,42 @@ def test_L_max_below_one_is_insufficient_data(tmp_path, doc, L_max):
     assert not (out / "MANIFEST.json").exists()
 
 
+CONE = dict(CARTAN, region={"type": "cone", "direction": [1.0], "half_angle": 0.5})
+CORRELATE = {"kind": "correlate", "representation": TWO_FACTOR, "direction": [1.0, 1.4],
+             "widths": [1.5, 1.5], "t_grid": {"t_min": 3.0, "t_max": 20.0, "step": 0.8},
+             "L_max": 5, "L_probe": 5}
+RATIO = dict(CARTAN, kind="ratio", region={"type": "tube", "direction": [1.0], "epsilon": 2.0})
+
+
+@pytest.mark.parametrize(
+    "doc, key, patch",
+    [
+        (CARTAN, "t_max", {"t_grid": dict(CARTAN["t_grid"], t_max=math.inf)}),
+        (CARTAN, "t_min", {"t_grid": dict(CARTAN["t_grid"], t_min=-(10**400))}),
+        (CARTAN, "epsilon", {"region": dict(CARTAN["region"], epsilon=math.nan)}),
+        (CARTAN, "offset", {"region": dict(CARTAN["region"], offset=[math.nan])}),
+        (CONE, "direction", {"region": dict(CONE["region"], direction=[math.nan])}),
+        (BOX, "widths", {"widths": [math.nan]}),
+        (BOX, "sectors", {"sectors": [0.0, math.nan, math.pi]}),
+        (BOX, "twist", {"representation": dict(BOX["representation"], twist=math.nan)}),
+        (BOX, "direction", {"direction": [math.inf]}),
+        (dict(CARTAN, kind="validate"), "tol", {"tol": math.nan}),
+        (CORRELATE, "bounds_tol", {"bounds_tol": math.nan}),
+        (LADDER, "epsilons", {"epsilons": [2.0, math.nan]}),
+        (RATIO, "window", {"window": [4.0, math.inf]}),
+    ],
+)
+def test_non_finite_numbers_are_schema_errors(tmp_path, doc, key, patch):
+    # json.load reads NaN and Infinity; no comparison downstream rejects them
+    cfg = write_config(tmp_path, "c.json", dict(doc, **patch))
+    out = tmp_path / "out"
+    assert cli.main([doc["kind"], "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.SchemaError"
+    assert repr(key) in record["message"]
+    assert not (out / "MANIFEST.json").exists()
+
+
 def test_integer_fields_accept_integral_values():
     assert cli._integer("L_max", 6) == 6
     assert cli._integer("L_max", 6.0) == 6
@@ -413,3 +450,110 @@ def test_integer_fields_accept_integral_values():
         for key in ("L_max", "L_probe", "sectors"):
             if key in doc:
                 assert cli._integer(key, doc[key]) == doc[key]
+
+
+def test_writer_bytes_are_pinned(tmp_path):
+    # literal text, so a formatting slip in a writer fails here even when
+    # every run of the changed writer agrees with itself
+    series = cn.CountSeries((2.0, 2.1, 1 / 3 + 2.3), (0, 7, 12), "jordan-classes",
+                            "tube(v=(1,), eps=0.5)", 6, 2.1, 0.7, True)
+    fit = ft.FitResult(0.1 + 0.2, 0.5, -1.25, (2.0, 1 / 3 + 2.3), 1e-17, 3)
+    ladder = ft.LadderResult((1.6, 0.8), (0.6931471805599453, -math.inf), -math.inf,
+                             "cartan-tube", (0.6, 0.8), 9.5, 0.35)
+    hists = {1: [cn.HolonomyHistogram((0.0, 1.0, math.pi), (3, 0), 1, 2.5)],
+             0: [cn.HolonomyHistogram((0.0, math.pi), (5,), 0, 2.5),
+                 cn.HolonomyHistogram((0.0, math.pi), (6,), 0, 3.25)]}
+    mean = ft.BoundReport(0.4, (0.7, 1 / 3), (0.6, 0.8), 0.05, 0.1 / 3, 0.1, True, False)
+    no_mean = ft.BoundReport(0.4, (0.7, 1 / 3, 2.0), (0.6, 0.8, 0.0), -0.2, None, 0.1, False, None)
+    (tmp_path / "mean").mkdir()
+    (tmp_path / "no_mean").mkdir()
+    cli.write_series_csv(series, tmp_path / "series.csv")
+    cli.write_histograms_csv(hists, tmp_path / "holonomy.csv")
+    cli.write_fit_csv(fit, tmp_path / "fit.csv", label="box")
+    cli.write_ladder_csv(ladder, tmp_path / "ladder.csv")
+    cli.emit_plot_data(series, tmp_path / "series.dat")
+    cli.emit_plot_data(ladder, tmp_path / "ladder.dat")
+    cli.emit_plot_data((series, fit), tmp_path / "fit.dat")
+    cli._write_bounds(mean, tmp_path / "mean")
+    cli._write_bounds(no_mean, tmp_path / "no_mean")
+    region = '"tube(v=(1,), eps=0.5)"'
+    expected = {
+        "series.csv": "T,count,trusted,kind,region\n"
+        f"2,0,1,jordan-classes,{region}\n"
+        f"2.1000000000000001,7,1,jordan-classes,{region}\n"
+        f"2.6333333333333333,12,0,jordan-classes,{region}\n",
+        "holonomy.csv": "factor,T,sector_lo,sector_hi,count\n"
+        "0,2.5,0,3.1415926535897931,5\n"
+        "0,3.25,0,3.1415926535897931,6\n"
+        "1,2.5,0,1,3\n"
+        "1,2.5,1,3.1415926535897931,0\n",
+        "fit.csv": "label,delta_hat,alpha_hat,log_c_hat,t_lo,t_hi,rms_residual,n_points\n"
+        "box,0.30000000000000004,0.5,-1.25,2,2.6333333333333333,1.0000000000000001e-17,3\n",
+        "ladder.csv": "source,epsilon,delta_hat,extrapolated\n"
+        "cartan-tube,1.6000000000000001,0.69314718055994529,-inf\n"
+        "cartan-tube,0.80000000000000004,-inf,-inf\n",
+        "series.dat": "# T count trusted\n2 0 1\n2.1000000000000001 7 1\n2.6333333333333333 12 0\n",
+        "ladder.dat": "# epsilon delta_hat\n"
+        "1.6000000000000001 0.69314718055994529\n0.80000000000000004 -inf\n",
+        "fit.dat": "# T count model\n"
+        "2 0 0.36914210883751297\n"
+        "2.1000000000000001 7 0.37121692922387728\n"
+        "2.6333333333333333 12 0.38901972278489727\n",
+        "mean/bounds.csv": "delta_hat,slack_min_bound,slack_mean_bound,tol,pass_min,pass_mean\n"
+        "0.40000000000000002,0.050000000000000003,0.033333333333333333,0.10000000000000001,1,0\n",
+        "mean/bounds.txt": "fitted correlation rate delta_hat = 0.4 along v = (0.6, 0.8)\n"
+        "factor rates = (0.7, 0.333333)\n"
+        "min-bound slack  (min_i delta_i v_i - delta_hat) = 0.05 -> pass at tol 0.1\n"
+        "mean-bound slack ((1/d) sum delta_i v_i - delta_hat) = 0.0333333 -> FAIL at tol 0.1\n",
+        "no_mean/bounds.csv": "delta_hat,slack_min_bound,slack_mean_bound,tol,pass_min,pass_mean\n"
+        "0.40000000000000002,-0.20000000000000001,,0.10000000000000001,0,\n",
+        "no_mean/bounds.txt": "fitted correlation rate delta_hat = 0.4 along v = (0.6, 0.8, 0.0)\n"
+        "factor rates = (0.7, 0.333333, 2.0)\n"
+        "min-bound slack  (min_i delta_i v_i - delta_hat) = -0.2 -> FAIL at tol 0.1\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_manifest_is_strict_json(tmp_path):
+    # off the spectrum cone every rung is empty: ladder.csv keeps the -inf
+    # sentinel, the MANIFEST writes it as null
+    doc = dict(LADDER, representation=TWO_FACTOR, direction=[1, 40], L_max=6)
+    cfg = write_config(tmp_path, "lad.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["ladder", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "MANIFEST.json").read_text(), parse_constant=_reject_constant)
+    assert manifest["extrapolated"] is None
+    assert (out / "ladder.csv").read_text().splitlines()[1].endswith(",-inf")
+
+
+def test_out_that_cannot_be_created_is_io_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "v.json", {"representation": PAIR})
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(blocker / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error [cli.IoError]: ")
+    assert sorted(tmp_path.iterdir()) == [blocker, cfg]
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        {"stretch": 3, "separation": 3},
+        {"stretch": 3, "separation": 3, "field": "complex", "twist": 0.9},
+        {"stretch": 3.17, "separation": 2.93},
+    ],
+)
+def test_builder_factor_matches_top_level_builder(builder):
+    doc = dict(builder, builder="schottky_pair")
+    (top,) = cli.parse_representation(doc, Path(".")).factors
+    for factor in cli.parse_representation({"factors": [doc, doc]}, Path(".")).factors:
+        for want, got in zip(top.generators, factor.generators):
+            assert got.entries.dtype == want.entries.dtype
+            assert got.entries.tobytes() == want.entries.tobytes()
+            assert got.log_scale == want.log_scale
