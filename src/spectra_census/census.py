@@ -42,11 +42,11 @@ subtrees no grid point can count (_Pruning), by the certified defect
 constants of reps.defect_constant.  _tally needs only the word length, and
 the letters are decoded (decode_words) only for a spectra sink, or for
 iter_word_chunks; both walk every word.  The Jordan stream, one necklace
-per conjugacy class, walks the same tree but keeps only prenecklaces by their FKM state
-(necklace_walk), so its cost scales with the classes rather than the
-words; the survivors are evaluated word by word (evaluate_chunk).
-canonical_mask and periods, necklace filters over whole decoded rows, are
-its test oracles.
+per conjugacy class, is one walk of the same tree to L_max (_class_walk)
+that keeps only prenecklaces by their FKM state and folds each once, in
+blocks, so its cost scales with the classes rather than the words; its
+shards are the depth-5 subtrees, and its lengths interleave.
+evaluate_chunk, canonical_mask and periods are its test oracles.
 """
 
 from __future__ import annotations
@@ -344,40 +344,64 @@ def _fold_walk(k: int, n: int, start: int, stop: int, factors, bound=None):
             yield from descend(1, *kept)
 
 
-def necklace_walk(k: int, n: int, start: int, stop: int):
-    """(letters, period) of the cyclically reduced necklaces among the rows of
-    decode_words(k, n, start, stop), in row order, without decoding the rest.
+def _class_walk(k: int, L_max: int, factors, shard=None):
+    """(letters (m, t) int8, period (m,), one (P, S) per factor) of the
+    cyclically reduced necklaces of each length t = 1..L_max, from one walk
+    down the prefix tree that folds each node once, for every length.
 
-    Descends the ancestors of the rows as _fold_walk does, keeping only
-    prenecklaces with their FKM state p, the period of the longest Lyndon
-    prefix (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 37,
-    2000): appending a_t to a_0..a_{t-1} kills the node if a_t < a_{t-p},
-    sets p = t + 1 if a_t > a_{t-p} and keeps p otherwise.  A leaf is a
-    necklace iff n % p == 0, and then p is its period, so a word is primitive
-    iff p == n.  The cost scales with the prenecklaces, not with the words.
+    The walk keeps only prenecklaces, with their FKM state p, the period of
+    the longest Lyndon prefix (Cattell, Ruskey, Sawada, Serra and Miers, J.
+    Algorithms 37, 2000): appending a_t to a_0..a_{t-1} kills the node if
+    a_t < a_{t-p}, sets p = t + 1 if a_t > a_{t-p} and keeps p otherwise.  A
+    node of depth t is a necklace iff t % p == 0, and then p is its period.
+    Each depth yields the current run's necklaces in word-index order; runs
+    split a level whose children exceed BLOCK rows, as in _fold_walk.  shard
+    (w, workers) deals the nodes of depth min(5, L_max) round the workers,
+    and only shard 0 yields the shallower necklaces (all of them at L_max 1).
     """
-    table = _letter_table(k)
+    table = _letter_table(k).astype(np.intp)
     base = 2 * k - 1
-    pw = base ** (n - 1)
-    node = np.arange(start // pw, (stop - 1) // pw + 1)
-    letters = np.empty((node.size, n), dtype=np.int8)
-    letters[:, 0] = node
-    p = np.ones(node.size, dtype=np.int8)
-    for t in range(1, n):
-        pw //= base
-        child = (node[:, None] * base + np.arange(base)).ravel()
-        inside = (child >= start // pw) & (child <= (stop - 1) // pw)
-        parent = np.repeat(np.arange(node.size), base)[inside]
-        node = child[inside]
-        a = table[letters[parent, t - 1], node % base]
-        ref = letters[parent, t - p[parent]]
-        alive = a >= ref
-        parent, node, a = parent[alive], node[alive], a[alive]
-        p = np.where(a > ref[alive], t + 1, p[parent])
-        letters = letters[parent]
-        letters[:, t] = a
-    keep = (n % p == 0) & cyclically_reduced_mask(letters)
-    return letters[keep], p[keep]
+    w, workers = (0, 1) if shard is None else shard
+    deal = min(5, max(2, L_max))
+    dealt = 0  # nodes of depth deal seen so far, in index order
+
+    def descend(t, letters, p, evals):
+        nonlocal dealt
+        while t < L_max:
+            if p.size * base > BLOCK and p.size > 1:
+                g = max(1, BLOCK // base)
+                for i in range(0, p.size, g):
+                    run = slice(i, i + g)
+                    runs = [(tuple(x[run] for x in P), S[run]) for P, S in evals]
+                    yield from descend(t, letters[run], p[run], runs)
+                return
+            a = table.take(letters[:, t - 1], axis=0).ravel()
+            ref = np.repeat(letters[np.arange(p.size), t - p], base)
+            period = np.where(a > ref, t + 1, np.repeat(p, base))
+            t += 1
+            neck = (t % period == 0) & (a != np.repeat(letters[:, 0], base) ^ 1)
+            # the last level folds only the necklaces it yields
+            idx = np.flatnonzero((a >= ref) & (neck if t == L_max else True))
+            if t == deal:
+                idx, dealt = idx[(np.arange(dealt, dealt + idx.size) % workers) == w], dealt + idx.size
+            if not idx.size:
+                return
+            parent, a, p = idx // base, a[idx], period[idx]
+            letters = np.column_stack([letters.take(parent, axis=0), a.astype(np.int8)])
+            evals = [
+                _extend(_gather(P, parent), S.take(parent), _gather(images, a), logs.take(a))
+                for (P, S), (images, logs) in zip(evals, factors)
+            ]
+            sel = np.flatnonzero(neck[idx])
+            if sel.size and (t >= deal or w == 0):
+                yield letters[sel], p[sel], [(_gather(P, sel), S.take(sel)) for P, S in evals]
+
+    first = np.arange(2 * k)
+    letters, p = first[:, None].astype(np.int8), np.ones(2 * k, dtype=np.intp)
+    evals = [(_gather(images, first), logs.take(first)) for images, logs in factors]
+    if w == 0 and L_max >= 1:
+        yield letters, p, evals
+    yield from descend(1, letters, p, evals)
 
 
 def jordan_chunk(P, S: np.ndarray, is_complex: bool, tol: float = algebra.DEFAULT_TOL):
@@ -484,30 +508,24 @@ def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK):
         yield decode_words(rep.k, n, lo, hi), mu
 
 
-def iter_class_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK):
+def iter_class_chunks(rep, L_max: int, shard=None):
     """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
     canonical necklaces of core length 1..L_max, one per conjugacy class.
 
-    Each chunk holds the necklaces among one chunk of word indices, found by
-    necklace_walk in index order; chunks without one are skipped.  shard is
-    as in iter_word_chunks.
+    Each chunk holds the necklaces of one length from one run of _class_walk,
+    in word-index order; lengths interleave in walk order.  shard is as in
+    iter_word_chunks.
     """
     _check_budget(rep.k, L_max)
-    images = _factor_images(rep)
     any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
-    for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
-        letters, period = necklace_walk(rep.k, n, lo, hi)
-        if not letters.size:
-            continue
+    for letters, period, evals in _class_walk(rep.k, L_max, _factor_images(rep), shard):
         lam = np.empty((letters.shape[0], rep.d))
         holos = np.full((letters.shape[0], rep.d), np.nan) if any_complex else None
-        for i, (mats, logs) in enumerate(images):
-            P, S = evaluate_chunk(letters, mats, logs)
-            lengths, h = jordan_chunk(P, S, rep.factors[i].field == algebra.COMPLEX)
-            lam[:, i] = lengths
+        for i, (P, S) in enumerate(evals):
+            lam[:, i], h = jordan_chunk(P, S, rep.factors[i].field == algebra.COMPLEX)
             if h is not None:
                 holos[:, i] = h
-        yield letters, lam, holos, period == n
+        yield letters, lam, holos, period == letters.shape[1]
 
 
 def _gate_validated(rep: Representation, force: bool):
@@ -634,9 +652,9 @@ class _Pruning:
 
 
 def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
-    """One (w, workers) per worker: the walk's chunks are dealt round the
-    workers, so each gets the same number of chunks give or take one, and
-    the necklaces, which crowd the low indices of every stratum, are shared."""
+    """One (w, workers) per worker: the Cartan walk's chunks, or the class
+    walk's depth-5 subtrees, are dealt round the workers, so each gets the
+    same number give or take one."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if workers == 1:
@@ -671,16 +689,19 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
         for start, stop, family in zip(spans, spans[1:], families):
             counts[start:stop] += family.count_grid(rows, grid)
         if hist is not None and complex_factors and rows.size:
-            hrows = holos[keep]
+            # a row is in the window at the grid points [i0, i1): +1 at i0,
+            # -1 at i1, summed down the grid axis
             lo, hi = families[0].window(rows)
-            for ti, t in enumerate(grid):
-                mask = (lo <= t) & (t <= hi)
-                if not mask.any():
-                    continue
-                for i in complex_factors:
-                    sector = np.searchsorted(edges, hrows[mask, i], side="right") - 1
-                    sector = np.clip(sector, 0, len(edges) - 2)
-                    hist[i, ti] += np.bincount(sector, minlength=len(edges) - 1)
+            ok = lo <= hi
+            i0, i1 = np.searchsorted(grid, lo[ok], "left"), np.searchsorted(grid, hi[ok], "right")
+            bins = len(edges) - 1
+            size = (grid.size + 1) * bins
+            for i in complex_factors:
+                sector = np.searchsorted(edges, holos[keep][ok, i], side="right") - 1
+                sector = np.clip(sector, 0, bins - 1)
+                step = np.bincount(i0 * bins + sector, minlength=size)
+                step -= np.bincount(i1 * bins + sector, minlength=size)
+                hist[i] += np.cumsum(step.reshape(grid.size + 1, bins), axis=0)[:-1]
     return _Partial(counts, c_min, hist)
 
 

@@ -65,8 +65,10 @@ def _integer(key: str, value) -> int:
 
 def _number(key: str, value) -> float:
     """A config field that measures something: a finite float.  json.load
-    reads NaN and Infinity, which no comparison downstream rejects; a value
-    float() cannot read raises its TypeError or ValueError."""
+    reads NaN and Infinity, which no comparison downstream rejects; bools,
+    strings and other values are schema errors, as in _integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"'{key}' must be a finite number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range

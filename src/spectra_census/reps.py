@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -247,11 +248,11 @@ def _parse_matrix(gdoc, field: str, fi: int, gi: int) -> np.ndarray:
     for ei, entry in enumerate(gdoc):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise SchemaError(f"{where} entry {ei}: expected an [re, im] pair")
-        re, im = entry
-        try:
-            re, im = float(re), float(im)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{where} entry {ei}: non-numeric value") from None
+        # not bools or strings, which float() reads, nor NaN or Infinity, which
+        # json.load reads and neither the unimodularity check nor the gate rejects
+        if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in entry):
+            raise SchemaError(f"{where} entry {ei}: {entry!r} is not a pair of finite numbers")
+        re, im = float(entry[0]), float(entry[1])
         if field == REAL and im != 0.0:
             raise SchemaError(f"{where} entry {ei}: real factor with nonzero imaginary part")
         vals.append(complex(re, im))
@@ -490,7 +491,9 @@ def detect_dependence(
         raise ValueError("dependence detection needs at least two factors")
     if rep.k < 2 or L_probe < 1:
         raise ValueError(f"need rank >= 2 and L_probe >= 1, got {rep.k} and {L_probe}")
-    lam = np.concatenate([block for _, block, _, _ in census.iter_class_chunks(rep, L_probe)])
+    # the walk interleaves core lengths; the SVD's last bits follow the row order
+    chunks = sorted(census.iter_class_chunks(rep, L_probe), key=lambda c: c[0].shape[1])
+    lam = np.concatenate([block for _, block, _, _ in chunks])
     if len(lam) < rep.d + 3:
         raise InsufficientData(
             f"only {len(lam)} classes up to core length {L_probe}; need {rep.d + 3}"

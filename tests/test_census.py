@@ -2,10 +2,12 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+from spectra_census import algebra
 from spectra_census import census as cn
 from spectra_census import fitting as ft
 from spectra_census import group as gr
@@ -205,6 +207,61 @@ def test_holonomy_sectors_partition(complex_pair):
     assert set(hists) == {0}
     for h, total in zip(hists[0], series.counts):
         assert sum(h.counts) == total
+
+
+def _per_grid_holonomy_bins(lo, hi, holos, grid, edges, complex_factors, d):
+    """The holonomy binning _tally did before its one pass: one mask and one
+    bincount per grid point and complex factor."""
+    hist = np.zeros((d, grid.size, len(edges) - 1), dtype=np.int64)
+    for ti, t in enumerate(grid):
+        mask = (lo <= t) & (t <= hi)
+        if not mask.any():
+            continue
+        for i in complex_factors:
+            sector = np.searchsorted(edges, holos[mask, i], side="right") - 1
+            sector = np.clip(sector, 0, len(edges) - 2)
+            hist[i, ti] += np.bincount(sector, minlength=len(edges) - 1)
+    return hist
+
+
+class _Window:
+    """A family whose window per row is its first two coordinates."""
+
+    def window(self, X):
+        return X[:, 0], X[:, 1]
+
+    def count_grid(self, X, grid):
+        return np.zeros((1, grid.size), dtype=np.int64)
+
+
+@pytest.mark.parametrize("primitive_only", [False, True])
+def test_holonomy_bins_match_per_grid_loop(primitive_only):
+    rng = np.random.default_rng(23)
+    grid = np.arange(2.0, 12.0, 0.5)
+    edges = np.array([0.0, 0.4, 1.3, 2.0, math.pi])
+    fields = (algebra.COMPLEX, algebra.REAL, algebra.COMPLEX)
+    rep = types.SimpleNamespace(d=3, factors=[types.SimpleNamespace(field=f) for f in fields])
+    chunks, want = [], 0
+    for m in (5, 7, 300, 2000):
+        lo = rng.uniform(0.0, 14.0, m)
+        hi = lo + rng.uniform(-2.0, 6.0, m)
+        # windows that open or close on a grid point, and windows that hold
+        # none: past either end, between two points, or empty
+        lo[: m // 4] = rng.choice(grid, m // 4)
+        hi[m // 4 : m // 2] = rng.choice(grid, m // 2 - m // 4)
+        lo[-4:], hi[-4:] = [12.0, 0.1, 5.1, 7.0], [13.0, 1.9, 5.4, 6.5]
+        holos = rng.uniform(0.0, math.pi, (m, 3))
+        holos[:, 1] = np.nan
+        holos[:3, 0] = [0.0, 0.4, math.pi]
+        primitive = rng.random(m) < 0.7
+        X = np.column_stack([lo, hi, rng.uniform(1.0, 2.0, m)])
+        chunks.append((3, None, X, holos, primitive))
+        keep = primitive if primitive_only else slice(None)
+        want = want + _per_grid_holonomy_bins(lo[keep], hi[keep], holos[keep], grid, edges, [0, 2], 3)
+    part = cn._tally(rep, iter(chunks), [_Window()], grid, primitive_only, edges, None)
+    assert part.histograms.dtype == np.int64
+    assert np.array_equal(part.histograms, want)
+    assert want.sum() > 0
 
 
 def test_capacity_exceeded(two_factor_rep, tube_family, monkeypatch):

@@ -429,6 +429,11 @@ RATIO = dict(CARTAN, kind="ratio", region={"type": "tube", "direction": [1.0], "
         (CORRELATE, "bounds_tol", {"bounds_tol": math.nan}),
         (LADDER, "epsilons", {"epsilons": [2.0, math.nan]}),
         (RATIO, "window", {"window": [4.0, math.inf]}),
+        # float() reads these; a config field does not
+        (CARTAN, "t_min", {"t_grid": dict(CARTAN["t_grid"], t_min=True)}),
+        (CARTAN, "t_max", {"t_grid": dict(CARTAN["t_grid"], t_max="10")}),
+        (CARTAN, "epsilon", {"region": dict(CARTAN["region"], epsilon=False)}),
+        (BOX, "widths", {"widths": ["0.8"]}),
     ],
 )
 def test_non_finite_numbers_are_schema_errors(tmp_path, doc, key, patch):
@@ -439,6 +444,28 @@ def test_non_finite_numbers_are_schema_errors(tmp_path, doc, key, patch):
     record = json.loads((out / "error.json").read_text())
     assert record["code"] == "reps.SchemaError"
     assert repr(key) in record["message"]
+    assert not (out / "MANIFEST.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, -math.inf, 10**400, True, "1.6", None],
+    ids=["nan", "-inf", "huge", "bool", "string", "null"],
+)
+def test_generator_entries_must_be_finite_numbers(tmp_path, value):
+    # 1.6 makes the second generator unimodular; a NaN there passed the
+    # unimodularity check and the gate, and the census exited 0 with a NaN
+    # c_min_hat
+    generators = [
+        [[3.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1 / 3, 0.0]],
+        [[value, 0.0], [1.2, 0.0], [1.2, 0.0], [1.525, 0.0]],
+    ]
+    doc = dict(CARTAN, representation={"rank": 2, "factors": [{"field": "real", "generators": generators}]})
+    cfg = write_config(tmp_path, "c.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["census-cartan", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.SchemaError"
+    assert "factor 0 generator 1 entry 0" in record["message"]
     assert not (out / "MANIFEST.json").exists()
 
 

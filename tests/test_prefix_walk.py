@@ -257,31 +257,75 @@ def test_cartan_census_independent_of_workers(two_factor_rep):
         assert series.t_trust == runs[0].t_trust
 
 
+def _per_length(chunks):
+    """The chunks' columns (arrays of rows, or None), each concatenated per
+    word length in stream order; the first column is the letters."""
+    groups = {}
+    for columns in chunks:
+        groups.setdefault(columns[0].shape[1], []).append(columns)
+    return {
+        n: [None if col[0] is None else np.concatenate(col) for col in zip(*group)]
+        for n, group in groups.items()
+    }
+
+
+def _merge_shards(parts):
+    """_per_length of every shard, per length merged into word-index order,
+    the lexicographic order of the letters."""
+    merged = {}
+    for n in set().union(*parts):
+        columns = [part[n] for part in parts if n in part]
+        cat = [None if col[0] is None else np.concatenate(col) for col in zip(*columns)]
+        order = np.lexsort(cat[0].T[::-1])
+        merged[n] = [None if col is None else col[order] for col in cat]
+    return merged
+
+
+def _walk_columns(letters, period, evals):
+    """A _class_walk chunk as columns: letters, period, then each factor's
+    four entries of P and S."""
+    return [letters, period] + [x for P, S in evals for x in (*P, S)]
+
+
 @pytest.mark.parametrize("k, n_max", [(2, 10), (3, 7)])
 def test_necklace_walk_matches_decode_and_filters(k, n_max):
+    # per length, the necklaces of the class walk at 1, 2 and 3 workers are
+    # the cyclically reduced canonical rows of the decoded stratum, with their
+    # periods, and each real and complex factor's (P, S) is evaluate_chunk's
+    rng = np.random.default_rng(5000 + k)
+    factors = []
+    for field in (algebra.REAL, algebra.COMPLEX):
+        mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
+        factors.append((_soa(mats), logs))
+    want = {}
     for n in range(1, n_max + 1):
-        total = gr.stratum_size(k, n)
-        rows = cn.decode_words(k, n, 0, total)
+        rows = cn.decode_words(k, n, 0, gr.stratum_size(k, n))
         keep = cn.cyclically_reduced_mask(rows)
         keep[keep] = cn.canonical_mask(rows[keep])
-        for chunk in (1, 7, 1000, cn.CHUNK):
-            for lo, hi in _ranges(total, chunk, offset=min(5, total - 1)):
-                if lo == hi:
-                    continue
-                want = rows[lo:hi][keep[lo:hi]]
-                letters, period = cn.necklace_walk(k, n, lo, hi)
-                assert letters.dtype == want.dtype
-                assert np.array_equal(letters, want)
-                assert np.array_equal(period, cn.periods(want))
+        letters = rows[keep]
+        evals = [cn.evaluate_chunk(letters, mats, logs) for mats, logs in factors]
+        want[n] = _walk_columns(letters, cn.periods(letters), evals)
+    for workers in (1, 2, 3):
+        parts = [
+            _per_length(_walk_columns(*c) for c in cn._class_walk(k, n_max, factors, shard))
+            for shard in cn._shards(workers)
+        ]
+        got = parts[0] if workers == 1 else _merge_shards(parts)
+        assert sorted(got) == sorted(want)
+        for n, (letters, period, *evals) in want.items():
+            assert got[n][0].dtype == letters.dtype
+            assert np.array_equal(got[n][0], letters)
+            assert np.array_equal(got[n][1], period)
+            _assert_same(got[n][2:], evals)
 
 
-def _decoded_class_chunks(rep, L_max, shard, chunk):
-    """iter_class_chunks by decoding, filtering and evaluating every word of
-    each chunk."""
+def _decoded_class_chunks(rep, L_max):
+    """iter_class_chunks by decoding, filtering and evaluating every word,
+    one chunk per length."""
     images = cn._factor_images(rep)
     any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
-    for n, lo, hi in cn._chunk_ranges(rep.k, L_max, shard, chunk):
-        letters = cn.decode_words(rep.k, n, lo, hi)
+    for n in range(1, L_max + 1):
+        letters = cn.decode_words(rep.k, n, 0, gr.stratum_size(rep.k, n))
         letters = letters[cn.cyclically_reduced_mask(letters)]
         letters = letters[cn.canonical_mask(letters)]
         if not letters.size:
@@ -298,24 +342,85 @@ def _decoded_class_chunks(rep, L_max, shard, chunk):
 
 
 @pytest.mark.parametrize("rep_name", ["two_factor_rep", "complex_pair"])
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("chunk", [7, 1000, cn.CHUNK])
-def test_class_chunks_match_decoded_pipeline(request, rep_name, workers, chunk):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("block", [7, 1000, cn.CHUNK])
+def test_class_chunks_match_decoded_pipeline(monkeypatch, request, rep_name, workers, block):
+    # blocks from two nodes a run to whole levels; per length, the chunks of
+    # one worker come in word-index order
+    monkeypatch.setattr(cn, "BLOCK", block)
     rep = request.getfixturevalue(rep_name)
+    want = _per_length(_decoded_class_chunks(rep, 8))
+    parts = [_per_length(cn.iter_class_chunks(rep, 8, shard=shard)) for shard in cn._shards(workers)]
+    got = parts[0] if workers == 1 else _merge_shards(parts)
+    assert sorted(got) == sorted(want)
     rows = 0
-    for shard in cn._shards(workers):
-        got = list(cn.iter_class_chunks(rep, 8, shard=shard, chunk=chunk))
-        want = list(_decoded_class_chunks(rep, 8, shard, chunk))
-        assert len(got) == len(want)
-        rows += sum(len(w[0]) for w in want)
-        for g, w in zip(got, want):
-            for a, b in zip(g, w):
-                if b is None:
-                    assert a is None
-                    continue
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    for n, w in want.items():
+        rows += len(w[0])
+        for a, b in zip(got[n], w):
+            if b is None:
+                assert a is None
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
     assert rows == len(list(gr.enumerate_conjugacy_classes(rep.k, 8)))
+
+
+@pytest.mark.parametrize("k, L_max", [(2, 1), (2, 3), (2, 7), (3, 5)])
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_class_walk_shards_partition_the_classes(k, L_max, workers):
+    # below depth 5 the walk deals the nodes of depth L_max, or none at
+    # L_max 1, where shard 0 yields every class
+    seen = []
+    for shard in cn._shards(workers):
+        for letters, period, evals in cn._class_walk(k, L_max, [], shard):
+            assert evals == []
+            seen += [(tuple(int(c) for c in row), bool(p == len(row))) for row, p in zip(letters, period)]
+    expected = {
+        (tuple(gr.letter_code(l) for l in c.letters), c.primitive)
+        for c in gr.enumerate_conjugacy_classes(k, L_max)
+    }
+    assert len(seen) == len(set(seen))
+    assert set(seen) == expected
+
+
+@pytest.mark.parametrize("block", [6, 50])
+def test_class_walk_folds_in_blocks(monkeypatch, complex_pair, block):
+    # no 2x2 step and no chunk of the class walk runs over more than a
+    # block of rows, and the runs a small block splits change no row
+    seen = []
+    extend = cn._extend
+
+    def counted(P, S, B, logB):
+        seen.append(S.size)
+        return extend(P, S, B, logB)
+
+    monkeypatch.setattr(cn, "_extend", counted)
+    edges = np.linspace(0.0, math.pi, 5)
+    grid = np.arange(2.0, 24.0, 0.61) + 0.017
+    cn.census_box(complex_pair, [1.0], [0.8], grid, 11, sectors=edges)
+    assert max(seen) <= cn.BLOCK
+    assert sum(seen) > 4 * cn.BLOCK
+    want = _per_length(cn.iter_class_chunks(complex_pair, 9))
+    seen.clear()
+    monkeypatch.setattr(cn, "BLOCK", block)
+    chunks = list(cn.iter_class_chunks(complex_pair, 9))
+    assert max(seen) <= block and max(len(c[0]) for c in chunks) <= block
+    got = _per_length(chunks)
+    assert sorted(got) == sorted(want)
+    for n in want:
+        for a, b in zip(got[n], want[n]):
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def test_class_path_never_evaluates_word_by_word(monkeypatch, complex_pair, two_factor_rep):
+    def no_evaluate(*args):
+        raise AssertionError("the class path evaluated a necklace letter by letter")
+
+    monkeypatch.setattr(cn, "evaluate_chunk", no_evaluate)
+    grid = np.arange(2.0, 24.0, 0.61) + 0.017
+    series, hist = cn.census_box(complex_pair, [1.0], [0.8], grid, 8, sectors=np.linspace(0.0, math.pi, 5))
+    assert series.counts[-1] > 0 and sum(hist[0][-1].counts) > 0
+    assert rp.detect_dependence(two_factor_rep, 6).n_classes > 0
 
 
 @pytest.mark.parametrize("k", [2, 3])
