@@ -80,6 +80,7 @@ from .reps import (  # noqa: F401
     SpectrumVector,
     ValidationReport,
     defect_constant,
+    defect_table,
     detect_dependence,
     evaluate,
     join,

@@ -11,8 +11,8 @@ census_box, the growth-indicator ladder (fitting) and completeness_horizon
 all call it, with a census kind and the families to count.  It alone
 gates the representation, refuses an L_max below 1 and a spectra sink
 across processes, validates the grid, picks the shard task from the kind,
-runs it over the worker shards, adds the evaluated Cartan leaves to a
-profile and computes the horizon.  The public entries only wrap its
+runs it over the worker shards, adds the evaluated Cartan leaves or
+classes to a profile and computes the horizon.  The public entries only wrap its
 counts: one family's first row as a CountSeries (_series), or nothing
 but the horizon.  Each shard task, _jordan_partial, _cartan_partial or
 _box_partial, only picks the chunk stream for _tally, the one chunk loop;
@@ -37,16 +37,20 @@ The deep levels of the tree are folded in blocks of at most BLOCK rows,
 each reduced to its Cartan projections at once, so no array of the walk
 grows past a block: the cost of a CHUNK-long step was page faults, not
 arithmetic, as the allocator returned each step's freed temporaries to the
-kernel and the next step faulted them back in.  A census drops the
-subtrees no grid point can count (_Pruning), by the certified defect
-constants of reps.defect_constant.  _tally needs only the word length, and
-the letters are decoded (decode_words) only for a spectra sink, or for
-iter_word_chunks; both walk every word.  The Jordan stream, one necklace
-per conjugacy class, is one walk of the same tree to L_max (_class_walk)
-that keeps only prenecklaces by their FKM state and folds each once, in
-blocks, so its cost scales with the classes rather than the words; its
-shards are the depth-5 subtrees, and its lengths interleave.
+kernel and the next step faulted them back in.  _tally needs only the
+word length, and the letters are decoded (decode_words) only for a spectra
+sink, or for iter_word_chunks; both walk every word.  The Jordan stream, one
+necklace per conjugacy class, is one walk of the same tree to L_max
+(_class_walk) that keeps only prenecklaces by their FKM state and folds each
+once, in blocks, so its cost scales with the classes rather than the words;
+its shards are the depth-5 subtrees, and its lengths interleave.
 evaluate_chunk, canonical_mask and periods are its test oracles.
+
+A census drops, in either walk, the subtrees that no grid point can count
+and that cannot lower the minimal stretch per letter (_Pruning), by the
+certified per-letter-pair defect tables of reps.defect_table and each
+family's reach.  A spectra sink, a truncated tube (which has no reach) and
+the dependence probe walk everything.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from .group import CapacityExceeded, _check_budget, stratum_size  # noqa: F401
 from .reps import (
     PingPongFailure,
     Representation,
-    defect_constant,
+    defect_table,
     generator_arrays,
     validate_representation,
 )
@@ -292,7 +296,7 @@ def _fold_walk(k: int, n: int, start: int, stop: int, factors, bound=None):
     def survivors(evals, last, j, left, right):
         # the rows at depth j that the bound keeps, with the end flags of the
         # survivors, or None when no row survives
-        keep = bound.alive(evals, n, j)
+        keep = bound.alive(evals, None, last, j, (n,))
         if keep is None:
             return evals, last, left, right
         idx = np.flatnonzero(keep)
@@ -344,7 +348,7 @@ def _fold_walk(k: int, n: int, start: int, stop: int, factors, bound=None):
             yield from descend(1, *kept)
 
 
-def _class_walk(k: int, L_max: int, factors, shard=None):
+def _class_walk(k: int, L_max: int, factors, shard=None, bound=None):
     """(letters (m, t) int8, period (m,), one (P, S) per factor) of the
     cyclically reduced necklaces of each length t = 1..L_max, from one walk
     down the prefix tree that folds each node once, for every length.
@@ -358,6 +362,11 @@ def _class_walk(k: int, L_max: int, factors, shard=None):
     split a level whose children exceed BLOCK rows, as in _fold_walk.  shard
     (w, workers) deals the nodes of depth min(5, L_max) round the workers,
     and only shard 0 yields the shallower necklaces (all of them at L_max 1).
+
+    bound, a _Pruning, drops a node of depth t < L_max, once its own
+    necklace is yielded, when no necklace of length t+1..L_max below it is
+    in reach.  The decision reads only the node's own data, so every shard
+    prunes the levels above the deal alike and deals the same nodes.
     """
     table = _letter_table(k).astype(np.intp)
     base = 2 * k - 1
@@ -365,9 +374,19 @@ def _class_walk(k: int, L_max: int, factors, shard=None):
     deal = min(5, max(2, L_max))
     dealt = 0  # nodes of depth deal seen so far, in index order
 
+    def pruned(t, letters, p, evals):
+        # the nodes of depth t that some necklace below them needs
+        if bound is None or t == L_max:
+            return letters, p, evals
+        keep = bound.alive(evals, letters[:, 0], letters[:, t - 1], t, range(t + 1, L_max + 1))
+        if keep is None:
+            return letters, p, evals
+        idx = np.flatnonzero(keep)
+        return letters[idx], p[idx], [(_gather(P, idx), S.take(idx)) for P, S in evals]
+
     def descend(t, letters, p, evals):
         nonlocal dealt
-        while t < L_max:
+        while t < L_max and p.size:
             if p.size * base > BLOCK and p.size > 1:
                 g = max(1, BLOCK // base)
                 for i in range(0, p.size, g):
@@ -395,13 +414,14 @@ def _class_walk(k: int, L_max: int, factors, shard=None):
             sel = np.flatnonzero(neck[idx])
             if sel.size and (t >= deal or w == 0):
                 yield letters[sel], p[sel], [(_gather(P, sel), S.take(sel)) for P, S in evals]
+            letters, p, evals = pruned(t, letters, p, evals)
 
     first = np.arange(2 * k)
     letters, p = first[:, None].astype(np.int8), np.ones(2 * k, dtype=np.intp)
     evals = [(_gather(images, first), logs.take(first)) for images, logs in factors]
     if w == 0 and L_max >= 1:
         yield letters, p, evals
-    yield from descend(1, letters, p, evals)
+    yield from descend(1, *pruned(1, letters, p, evals))
 
 
 def jordan_chunk(P, S: np.ndarray, is_complex: bool, tol: float = algebra.DEFAULT_TOL):
@@ -508,17 +528,23 @@ def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK):
         yield decode_words(rep.k, n, lo, hi), mu
 
 
-def iter_class_chunks(rep, L_max: int, shard=None):
+def iter_class_chunks(rep, L_max: int, shard=None, reach=None):
     """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
     canonical necklaces of core length 1..L_max, one per conjugacy class.
 
     Each chunk holds the necklaces of one length from one run of _class_walk,
     in word-index order; lengths interleave in walk order.  shard is as in
-    iter_word_chunks.
+    iter_word_chunks.  reach, when given, is the pair (families, grid) the
+    chunks are counted for: the walk is then pruned by _Pruning.of, if it
+    applies, and skips the classes that no family may count and that may
+    not lower the minimal stretch per letter.  Otherwise every class is
+    yielded.
     """
     _check_budget(rep.k, L_max)
     any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
-    for letters, period, evals in _class_walk(rep.k, L_max, _factor_images(rep), shard):
+    images = _factor_images(rep)
+    bound = None if reach is None else _Pruning.of(rep, *reach, L_max, images, jordan=True)
+    for letters, period, evals in _class_walk(rep.k, L_max, images, shard, bound):
         lam = np.empty((letters.shape[0], rep.d))
         holos = np.full((letters.shape[0], rep.d), np.nan) if any_complex else None
         for i, (P, S) in enumerate(evals):
@@ -560,67 +586,89 @@ class _Partial:
     counts: np.ndarray
     c_min: float
     histograms: Optional[np.ndarray] = None  # (d, n_grid, n_sectors)
-    leaves: int = 0  # Cartan vectors evaluated
+    leaves: int = 0  # Cartan or Jordan vectors evaluated
 
 
 class _Pruning:
-    """Which Cartan words no family can count and the minimal stretch per
-    letter does not need, from the certified defect constants C_i of
-    reps.defect_constant.
+    """Which Cartan words, or which classes, no family can count and the
+    minimal stretch per letter does not need, from the certified
+    per-letter-pair defect tables C_i of reps.defect_table.
 
-    A word w = uv of stratum n whose prefix u has depth j < n has
-    mu_i(w) >= mu_i(u) + m_i(n - j) - C_i, m_i(r) a lower bound on mu_i over
-    the words of length r, so its Cartan vector lies above the point
-    L = (max(0, mu_i(u) + m_i(n - j) - C_i))_i of the positive orthant.  The
-    node u, and its subtree, is dropped when ||L|| > max(R, n c1) and every
-    coordinate family's coordinate of L exceeds the grid's last T: a ball or
-    ladder counts no norm beyond R, the grid's last T (R is 0 without
+    m_ib(r) bounds mu_i from below over the words of length r that start
+    with the letter b, and a node u whose last letter is a has the slack
+    s_ia(r) = min over b != a^-1 of m_ib(r) - C_i[a, b]: every reduced word
+    uv with |v| = r has mu_i(uv) >= mu_i(u) + s_ia(r).
+
+    A Cartan word w = uv of stratum n whose prefix u has depth j < n thus
+    lies above the point L = (max(0, mu_i(u) + s_ia(n - j)))_i of the
+    positive orthant.  A necklace w = uv of length n, u a node of the class
+    walk at depth t < n, has lambda_i(w) >= mu_i(w) - C_i[last(w), first(u)]
+    (the C_lambda corollary of reps.defect_table), so its Jordan vector lies
+    above L less the largest C_i[c, first(u)] over c, and the node is
+    dropped only if that point is out of reach for every n = t+1..L_max.
+
+    Out of reach means ||L|| > max(R, n c1) and every coordinate family's
+    coordinate of L exceeds its R: a ball, ladder or box counts no norm
+    beyond its reach R (family.reach at the grid's last T; R is 0 without
     families), a coordinate ray no coordinate beyond it, and no dropped word
-    can lower c_min_hat, which is at most c1, the smallest generator norm,
-    since stratum 1 holds that generator.  So counts, c_min_hat and t_trust
-    are the full walk's.  A margin of 1e-9, relative and absolute, covers
-    the rounding of the bound.
+    or class can lower c_min_hat, which is at most c1, the smallest norm of
+    a generator's Cartan (or Jordan) vector, since stratum 1 holds that
+    generator.  So counts, holonomy histograms, c_min_hat and t_trust are
+    the full walk's.  A margin of 1e-9, relative and absolute, covers the
+    rounding of the bound.
 
     Internal nodes are tested with h = log(||P||_F^2 / 2) <= mu, which saves
-    cartan_chunk's three transcendental steps, and leaves by their own mu,
-    with no defect term.  m_i(r) is the exact minimum for r <= EXACT (8,748
-    words at k = 2), from an unpruned walk that every worker runs for
-    itself, extended by m(a + b) >= m(a) + m(b) - C beyond.  The decision
-    reads only a node's own (P, S) and these constants, so it does not
-    depend on chunking or workers.
+    cartan_chunk's three transcendental steps, and Cartan leaves by their
+    own mu, with no defect term; the class walk evaluates every necklace it
+    reaches.  m_ib(r) is the exact minimum for r <= EXACT (8,748 words at
+    k = 2), from an unpruned walk that every worker runs for itself,
+    extended by m_ib(x + y) >= m_ib(x) + m_i(y) - C_i beyond, m_i the
+    minimum over the first letters and C_i the largest entry of the table.
+    The decision reads only a node's own (P, S), first and last letters and
+    these constants, so it does not depend on chunking or workers.
     """
 
     EXACT = 8
     MARGIN = 1e-9
 
     @classmethod
-    def of(cls, rep, families, grid, L_max: int, images) -> Optional["_Pruning"]:
-        """The bound for these families, or None when some factor has no
-        defect certificate or some family no finite reach."""
-        axes = [getattr(f, "reach_axis", None) for f in families]
-        if None in axes:
+    def of(cls, rep, families, grid, L_max: int, images, jordan: bool = False) -> Optional["_Pruning"]:
+        """The bound for these families, for the class walk when jordan is
+        set, or None when some factor has no defect table or some family no
+        finite reach."""
+        reaches = [f.reach(float(grid[-1])) if hasattr(f, "reach") else None for f in families]
+        if None in reaches:
             return None
-        defects = [defect_constant(f) for f in rep.factors]
-        if None in defects:
+        tables = [defect_table(f) for f in rep.factors]
+        if any(t is None for t in tables):
             return None
-        return cls(rep, axes, float(grid[-1]) if axes else 0.0, L_max, images, np.array(defects))
+        return cls(rep, reaches, L_max, images, np.stack(tables, axis=-1), jordan)
 
-    def __init__(self, rep, axes, reach: float, L_max: int, images, defects: np.ndarray):
-        (mu1,) = _cartan_blocks(rep.k, 1, 0, 2 * rep.k, images)
-        c1 = float(np.min(np.sqrt(_row_sq_sum(mu1))))
-        ball = reach if "norm" in axes else 0.0
+    def __init__(self, rep, reaches, L_max: int, images, tables: np.ndarray, jordan: bool):
+        """tables[a, b, i] is C_i[a, b]."""
+        k, d = rep.k, rep.d
+        if jordan:
+            fields = [f.field == algebra.COMPLEX for f in rep.factors]
+            one = np.column_stack([jordan_chunk(P, S, c)[0] for (P, S), c in zip(images, fields)])
+        else:
+            (one,) = _cartan_blocks(k, 1, 0, 2 * k, images)
+        c1 = float(np.min(np.sqrt(_row_sq_sum(one))))
+        ball = max([R for axis, R in reaches if axis == "norm"], default=0.0)
         scale = 1.0 + self.MARGIN
         self.norm2 = [(max(ball, n * c1) * scale + self.MARGIN) ** 2 for n in range(L_max + 1)]
-        self.coords = [(a, reach * scale + self.MARGIN) for a in axes if a != "norm"]
-        m = np.zeros((max(L_max, 2), rep.d))
-        m[1] = mu1.min(axis=0)
-        for r in range(2, L_max):
+        self.coords = [(axis, R * scale + self.MARGIN) for axis, R in reaches if axis != "norm"]
+        m = np.zeros((max(L_max, 2), 2 * k, d))  # m[r, b, i] = m_ib(r)
+        for r in range(1, L_max):
             if r <= self.EXACT:
-                blocks = _cartan_blocks(rep.k, r, 0, stratum_size(rep.k, r), images)
-                m[r] = functools.reduce(np.minimum, (b.min(axis=0) for b in blocks))
+                mu = np.concatenate(list(_cartan_blocks(k, r, 0, stratum_size(k, r), images)))
+                m[r] = mu.reshape(2 * k, -1, d).min(axis=1)  # words in index order
             else:
-                m[r] = np.max(m[1:r] + m[r - 1 : 0 : -1], axis=0) - defects
-        self.slack = (m - defects).tolist()  # m_i(r) - C_i per r
+                low = m[r - 1 : 0 : -1].min(axis=1)  # m_i(r - x) for x = 1..r-1
+                m[r] = np.max(m[1:r] + low[:, None], axis=0) - tables.max(axis=(0, 1))
+        # slack[r, a, i] = s_ia(r); C_i[a, a ^ 1] = -inf drops b = a^-1
+        self.slack = np.min(m[:, None] - tables[None], axis=2)
+        # entry[b, i]: the largest C_i[c, b] over the letters c a necklace can end with
+        self.entry = tables.max(axis=0) if jordan else None
 
     def beyond(self, cols, n: int) -> np.ndarray:
         """Rows whose lower bounds cols (one nonnegative array per factor)
@@ -630,18 +678,30 @@ class _Pruning:
             out &= cols[i] > r
         return out
 
-    def alive(self, evals, n: int, j: int) -> Optional[np.ndarray]:
-        """The rows of depth j < n to keep, or None when every row is kept."""
-        slack = self.slack[n - j]
+    def alive(self, evals, first, last, j: int, lengths) -> Optional[np.ndarray]:
+        """The nodes of depth j to keep, or None when every node is kept.
+
+        first and last are the nodes' first and last letters; a Cartan bound
+        reads only last.  A node is dropped when, for every n in lengths,
+        the words (or necklaces) of length n below it are out of reach."""
         # no entry of a walk's P exceeds 2 in modulus (RenormMatrix, _extend),
-        # so h <= 2S + 3 log 2: a block whose largest S leaves it in reach
-        # is kept without a test per row
-        top = [max(0.0, 2.0 * float(S.max()) + 3.0 * LN2 + s) for (_, S), s in zip(evals, slack)]
-        if not self.beyond(top, n):
+        # so h <= 2S + 3 log 2: a block that this leaves in reach at some
+        # length is kept without a test per row
+        top = np.array([2.0 * float(S.max()) + 3.0 * LN2 for _, S in evals])
+        if self.entry is not None:
+            top -= self.entry.min(axis=0)
+        if not all(self.beyond(np.maximum(top + self.slack[n - j].max(axis=0), 0.0), n) for n in lengths):
             return None
-        cols = [np.maximum(_cartan_floor(P, S) + s, 0.0) for (P, S), s in zip(evals, slack)]
-        drop = self.beyond(cols, n)
-        return ~drop if drop.any() else None
+        h = [_cartan_floor(P, S) for P, S in evals]
+        if self.entry is not None:
+            h = [x - self.entry[:, i].take(first) for i, x in enumerate(h)]
+        drop = True
+        for n in lengths:
+            slack = self.slack[n - j]
+            drop &= self.beyond([np.maximum(x + slack[:, i].take(last), 0.0) for i, x in enumerate(h)], n)
+            if not drop.any():
+                return None
+        return ~drop
 
     def kept(self, mu: np.ndarray, n: int) -> np.ndarray:
         """The leaves of stratum n, mu (m, d) their Cartan vectors, that
@@ -705,15 +765,25 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
     return _Partial(counts, c_min, hist)
 
 
-def _class_chunks(rep, L_max, shard):
-    """iter_class_chunks in _tally's (n, letters, X, holos, primitive) form."""
-    for letters, lam, holos, primitive in iter_class_chunks(rep, L_max, shard=shard):
-        yield letters.shape[1], letters, lam, holos, primitive
+def _class_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard) -> _Partial:
+    """_tally of the class walk, with the classes it evaluated as leaves."""
+    # a sink reads every class, so it is walked unpruned
+    reach = (families, grid) if sink is None else None
+    leaves = 0
+
+    def chunks():
+        nonlocal leaves
+        for letters, lam, holos, primitive in iter_class_chunks(rep, L_max, shard, reach):
+            leaves += len(lam)
+            yield letters.shape[1], letters, lam, holos, primitive
+
+    part = _tally(rep, chunks(), families, grid, primitive_only, edges, sink)
+    part.leaves = leaves
+    return part
 
 
 def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, shard) -> _Partial:
-    chunks = _class_chunks(rep, L_max, shard)
-    return _tally(rep, chunks, families, grid, primitive_only, None, sink)
+    return _class_partial(rep, families, grid, L_max, primitive_only, None, sink, shard)
 
 
 def _cartan_partial(rep, families, grid, L_max, sink, shard) -> _Partial:
@@ -733,8 +803,7 @@ def _cartan_partial(rep, families, grid, L_max, sink, shard) -> _Partial:
 
 
 def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard) -> _Partial:
-    chunks = _class_chunks(rep, L_max, shard)
-    return _tally(rep, chunks, families, grid, primitive_only, edges, sink)
+    return _class_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard)
 
 
 def _run_sharded(task: Callable, workers: int) -> _Partial:
@@ -765,8 +834,9 @@ def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=N
     _jordan_partial, or _box_partial when sector edges are given, counting
     primitive classes only for KIND_JORDAN_PRIMITIVE.  The horizon is capped
     at the grid's last T, and uncapped without families, where the grid is
-    not read.  A Cartan walk adds its evaluated leaves to
-    profile["cartan_leaves"], when profile is given.
+    not read.  When profile is given, a Cartan walk adds its evaluated
+    leaves to profile["cartan_leaves"], and a class walk its evaluated
+    classes to profile["class_leaves"].
     """
     _gate_validated(rep, force)
     if L_max < 1:
@@ -786,8 +856,9 @@ def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=N
     else:
         task = functools.partial(_box_partial, rep, families, grid, L_max, primitive_only, edges, sink)
     part = _run_sharded(task, workers)
-    if profile is not None and kind == KIND_CARTAN:
-        profile["cartan_leaves"] = profile.get("cartan_leaves", 0) + part.leaves
+    if profile is not None:
+        key = "cartan_leaves" if kind == KIND_CARTAN else "class_leaves"
+        profile[key] = profile.get(key, 0) + part.leaves
     return part, _horizon(part.c_min, L_max, float(grid[-1]) if families else math.inf)
 
 
@@ -817,10 +888,16 @@ def census_jordan(
     workers: int = 1,
     force: bool = False,
     spectra_sink=None,
+    profile: Optional[dict] = None,
 ) -> CountSeries:
-    """Count conjugacy classes whose Jordan vector lies in family(T), per grid T."""
+    """Count conjugacy classes whose Jordan vector lies in family(T), per grid T.
+
+    The walk skips the classes no grid point can count (_Pruning) unless a
+    spectra sink reads every class; profile, when given, is a dict whose
+    "class_leaves" the walk adds its evaluated classes to.
+    """
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
-    return _series(rep, kind, family, t_grid, L_max, workers, force, spectra_sink)[0]
+    return _series(rep, kind, family, t_grid, L_max, workers, force, spectra_sink, profile=profile)[0]
 
 
 def census_cartan(
@@ -855,12 +932,14 @@ def census_box(
     workers: int = 1,
     force: bool = False,
     spectra_sink=None,
+    profile: Optional[dict] = None,
 ):
     """Moving-box census of Jordan vectors, optionally cross-classified by
     holonomy sector per complex factor.
 
     Returns (CountSeries, histograms) where histograms is None without
-    sectors, else {factor_index: [HolonomyHistogram per grid point]}.
+    sectors, else {factor_index: [HolonomyHistogram per grid point]}.  The
+    walk is pruned to the box's reach and profiled as in census_jordan.
     """
     family = BoxWindowFamily(direction, widths)
     edges = None
@@ -871,7 +950,7 @@ def census_box(
         if abs(edges[0]) > 1e-12 or abs(edges[-1] - math.pi) > 1e-12:
             raise ValueError("sector edges must cover [0, pi] exactly")
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
-    series, part = _series(rep, kind, family, t_grid, L_max, workers, force, spectra_sink, edges)
+    series, part = _series(rep, kind, family, t_grid, L_max, workers, force, spectra_sink, edges, profile)
     if edges is None:
         return series, None
     histograms = {}

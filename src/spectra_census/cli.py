@@ -301,10 +301,11 @@ def _finite(value):
 
 def _manifest(out: Path, args, config: dict, extra: dict, rep=None):
     """Write MANIFEST.json: the command, config echo, workers, versions, the
-    wall time since main started, and extra.  A run whose Cartan walks added
-    to args.profile also gets a "profile" block: each factor of rep's
-    certified defect constant (None where the lemma does not apply) and the
-    Cartan vectors evaluated, summed over shards and walks.  The file is
+    wall time since main started, and extra.  A run whose Cartan or class
+    walks added to args.profile also gets a "profile" block: each factor of
+    rep's certified defect constant (None where the lemma does not apply)
+    and the Cartan vectors ("cartan_leaves") or classes ("class_leaves")
+    evaluated, each summed over shards and walks.  The file is
     strict JSON: a non-finite float, such as the -inf rate of a ladder off
     the spectrum cone, is written as null."""
     doc = {
@@ -319,10 +320,10 @@ def _manifest(out: Path, args, config: dict, extra: dict, rep=None):
         "wall_time_s": round(time.time() - args.t0, 3),
         **extra,
     }
-    if "cartan_leaves" in args.profile:
+    if args.profile:
         doc["profile"] = {
             "defect_constants": [reps.defect_constant(f) for f in rep.factors],
-            "cartan_leaves": args.profile["cartan_leaves"],
+            **args.profile,
         }
     with _writer(out / "MANIFEST.json") as fh:
         json.dump(_finite(doc), fh, indent=2, sort_keys=True, allow_nan=False)
@@ -371,7 +372,7 @@ def _series_run(config, args, out: Path) -> int:
     if args.dump_spectra:
         kind = "cartan" if args.command == "census-cartan" else "jordan"
         dump = SpectraDump(out / "spectra.csv", rep.d, kind)
-    walk = dict(workers=args.workers, force=args.force, spectra_sink=dump)
+    walk = dict(workers=args.workers, force=args.force, spectra_sink=dump, profile=args.profile)
     primitive_only = bool(config.get("primitive_only", False))
     try:
         if args.command == "census-box":
@@ -386,7 +387,7 @@ def _series_run(config, args, out: Path) -> int:
                 rep, family, grid, L_max, primitive_only=primitive_only, **walk
             )
         else:
-            series = census.census_cartan(rep, family, grid, L_max, profile=args.profile, **walk)
+            series = census.census_cartan(rep, family, grid, L_max, **walk)
     finally:
         if dump is not None:
             dump.close()
@@ -443,6 +444,7 @@ def run_correlate(config, args, out: Path) -> int:
     widths = _vector("widths", config.get("widths"), rep.d)
     series, _ = census.census_box(
         rep, direction, widths, grid, L_max, workers=args.workers, force=args.force,
+        profile=args.profile,
     )
     write_series_csv(series, out / "box_series.csv")
     emit_plot_data(series, out / "box_series.dat")
@@ -519,7 +521,9 @@ def run_ratio(config, args, out: Path) -> int:
     grid = parse_grid(config["t_grid"])
     L_max = _integer("L_max", config["L_max"])
     family = parse_region(config["region"], rep.d)
-    jordan = census.census_jordan(rep, family, grid, L_max, workers=args.workers, force=args.force)
+    jordan = census.census_jordan(
+        rep, family, grid, L_max, workers=args.workers, force=args.force, profile=args.profile
+    )
     cartan = census.census_cartan(
         rep, family, grid, L_max, workers=args.workers, force=args.force, profile=args.profile
     )
@@ -628,8 +632,8 @@ def main(argv: Optional[list] = None) -> int:
             p.add_argument("--dump-spectra", action="store_true", dest="dump_spectra")
     args = parser.parse_args(argv)
     args.base_dir = Path(args.config).resolve().parent
-    # _manifest reads the wall time from t0; Cartan walks add their counters
-    # to profile, which _manifest writes as the "profile" block
+    # _manifest reads the wall time from t0; Cartan and class walks add their
+    # counters to profile, which _manifest writes as the "profile" block
     args.t0, args.profile = time.time(), {}
 
     out = Path(args.out)

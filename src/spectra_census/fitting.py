@@ -189,8 +189,9 @@ def growth_indicator_ladder(
     row of an ApertureLadderFamily.  Each row is fitted with alpha fixed to
     0 (pure rate extraction); the extrapolated value is the median of the
     last two finite rates.  Directions outside the spectrum cone produce
-    empty censuses and the -inf sentinel.  A cartan-tube walk adds its
-    evaluated words to profile["cartan_leaves"], when profile is given.
+    empty censuses and the -inf sentinel.  When profile is given, a
+    cartan-tube walk adds its evaluated words to profile["cartan_leaves"],
+    and a Jordan walk its evaluated classes to profile["class_leaves"].
     """
     if source not in LADDER_SOURCES:
         raise ValueError(f"source must be one of {LADDER_SOURCES}")

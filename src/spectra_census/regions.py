@@ -7,10 +7,10 @@ The region specs and their scalar membership tests come first, then the
 region families the censuses count with: each classifies an (m, d) chunk
 of spectrum vectors against a T-grid at once.  A tube or cone ball is the
 one-rung ladder, so both regions have one implementation,
-ApertureLadderFamily.count_grid.  A family's reach_axis says which of a
-vector's sizes, its norm or one coordinate, bounds what it counts by the
-grid's last T; a family without one (box, truncated tube) has no finite
-reach, and the Cartan walk does not prune for it.
+ApertureLadderFamily.count_grid.  A family's reach(t_max) is the pair
+(axis, R): it counts no vector whose norm (axis "norm") or coordinate axis
+exceeds R at any grid T up to t_max.  A family without one (the truncated
+tube) has no finite reach, and no walk is pruned for it.
 """
 
 from __future__ import annotations
@@ -312,7 +312,6 @@ class ApertureLadderFamily:
     """
 
     cumulative = True
-    reach_axis = "norm"  # it counts no row of norm beyond the grid's last T
 
     def __init__(self, specs: Sequence):
         shapes = {(type(s), s.direction, getattr(s, "offset", None)) for s in specs}
@@ -322,6 +321,9 @@ class ApertureLadderFamily:
         self.specs = tuple(specs)
         self.rows = len(specs)
         self.region_id = "ladder[" + ";".join(region_id(s) for s in specs) + "]"
+
+    def reach(self, t_max: float) -> Tuple[str, float]:
+        return "norm", t_max
 
     def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
         v = np.asarray(self.specs[0].direction)
@@ -388,6 +390,12 @@ class BoxWindowFamily:
             BoxWindow(tuple(v), tuple(w), 0.0)
         )
 
+    def reach(self, t_max: float) -> Tuple[str, float]:
+        # a nonnegative row in the box at some T <= t_max lies below
+        # v t_max + w, coordinate by coordinate
+        top = np.maximum(self.direction * t_max + self.widths, 0.0)
+        return "norm", float(np.linalg.norm(top))
+
     def window(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per row, the closed interval of T for which the row is in the box."""
         cols = list(zip(X.T, self.widths, self.direction))
@@ -417,8 +425,10 @@ class CoordinateRayFamily:
         if not 0 <= index < d:
             raise ValueError("factor index out of range")
         self.index = index
-        self.reach_axis = index  # it counts no row whose coordinate exceeds the grid's last T
         self.region_id = f"ray[coord={index}]"
+
+    def reach(self, t_max: float) -> Tuple[int, float]:
+        return self.index, t_max
 
     def count_grid(self, X: np.ndarray, grid: np.ndarray) -> np.ndarray:
         vals = np.sort(X[:, self.index])

@@ -1,7 +1,11 @@
-"""The certified quasi-additivity defect (reps.defect_constant) and the Cartan
-walk it prunes: the lemma against every split of the short words and against
-mpmath on long ones, and every pruned census against the unpruned walk."""
+"""The certified quasi-additivity defects (reps.defect_table and its maximum,
+reps.defect_constant) and the Cartan and class walks they prune: the lemma,
+per letter pair, against every split of the short words and against mpmath
+on long ones, its C_lambda corollary on every short necklace, and every
+pruned census against the unpruned walk."""
 
+import collections
+import functools
 import json
 import random
 from pathlib import Path
@@ -27,6 +31,45 @@ FACTORS = {
 # the largest mu(u) + mu(v) - mu(uv) over reduced uv with |uv| <= 10,
 # measured with this walk; the certificate must lie above it
 MEASURED = {"a4_first": 4.6186, "a4_second": 4.6187, "complex": 4.7377, "weak": 4.6148}
+INF = np.inf
+# the A4 factor-0 table, C[a, b] for the cut (a, b) in letter-code order; the
+# splits of short words barely tell a table from one with the letters of its
+# cut misread, so the entries are pinned
+A4_FIRST_TABLE = [
+    [0.50, -INF, 2.10, 2.95],
+    [-INF, 0.50, 1.61, 1.19],
+    [1.19, 2.95, 6.00, -INF],
+    [1.61, 2.10, -INF, 6.00],
+]
+
+
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_defect_table_maximum_is_defect_constant(name):
+    factor = FACTORS[name]().factors[0]
+    table = rp.defect_table(factor)
+    assert table.max() == rp.defect_constant(factor)
+    # -inf exactly at the cuts (a, a^-1), and the cut (a, b) of uv is the cut
+    # (b^-1, a^-1) of its inverse
+    codes = np.arange(4)
+    assert np.array_equal(np.isinf(table), codes[:, None] == codes[None, :] ^ 1)
+    assert np.array_equal(table, table[codes ^ 1][:, codes ^ 1].T)
+
+
+def test_defect_table_pinned_on_a4():
+    table = rp.defect_table(FACTORS["a4_first"]().factors[0])
+    assert np.allclose(table, A4_FIRST_TABLE, rtol=0.0, atol=0.005)
+
+
+@functools.lru_cache(maxsize=None)
+def _lengths():
+    """Conjugacy classes of F_2 per core length up to 10, from the scalar
+    enumeration."""
+    return collections.Counter(len(c.letters) for c in gr.enumerate_conjugacy_classes(2, 10))
+
+
+def _classes(L_max):
+    """Conjugacy classes of F_2 of core length 1..L_max, L_max <= 10."""
+    return sum(count for n, count in _lengths().items() if n <= L_max)
 
 
 def _mu_by_stratum(rep, L_max):
@@ -41,6 +84,7 @@ def _mu_by_stratum(rep, L_max):
 def test_defect_constant_bounds_every_split(name):
     rep = FACTORS[name]()
     C = rp.defect_constant(rep.factors[0])
+    table = rp.defect_table(rep.factors[0])
     strata = _mu_by_stratum(rep, 10)
     worst = -np.inf
     for n, (letters, mu) in strata.items():
@@ -52,6 +96,8 @@ def test_defect_constant_bounds_every_split(name):
             u = strata[j][1][idx // (3 * tail)]
             v = strata[n - j][1][letters[:, j].astype(np.int64) * tail + idx % tail]
             worst = max(worst, float(np.max(u + v - mu)))
+            # the lemma per letter pair, at the cut (last of u, first of v)
+            assert np.all(u + v - mu <= table[letters[:, j - 1], letters[:, j]]), (n, j)
     assert worst == pytest.approx(MEASURED[name], abs=1e-4)
     assert C >= worst
 
@@ -70,6 +116,7 @@ def _mp_mu(M) -> mpmath.mpf:
 def test_defect_constant_holds_in_mpmath_on_long_words(name):
     rep = FACTORS[name]()
     C = rp.defect_constant(rep.factors[0])
+    table = rp.defect_table(rep.factors[0])
     rng = random.Random(name)
     with mpmath.workdps(60):
         images = []
@@ -89,6 +136,21 @@ def test_defect_constant_holds_in_mpmath_on_long_words(name):
                 prod[2] = prod[2] * images[c]
             u, v, uv = (_mp_mu(M) for M in prod)
             assert uv >= u + v - C
+            assert uv >= u + v - table[word[j - 1], word[j]]
+
+
+@pytest.mark.parametrize("name", sorted(FACTORS))
+def test_c_lambda_holds_on_every_short_necklace(name):
+    # lambda(w) >= mu(w) - C[last(w), first(w)] for cyclically reduced w
+    rep = FACTORS[name]()
+    table = rp.defect_table(rep.factors[0])
+    ((images, logs),) = cn._factor_images(rep)
+    seen = 0
+    for letters, lam, _, _ in cn.iter_class_chunks(rep, 10):
+        mu = cn.cartan_chunk(*cn.evaluate_chunk(letters, images, logs))
+        assert np.all(lam[:, 0] >= mu - table[letters[:, -1], letters[:, 0]])
+        seen += len(lam)
+    assert seen == _classes(10)
 
 
 def _affine(factor: rp.Factor, scale: float, shift: float) -> rp.Factor:
@@ -133,7 +195,8 @@ def test_defect_constant_not_applicable():
 
 
 def _unpruned(monkeypatch):
-    monkeypatch.setattr(cn, "defect_constant", lambda factor: None)
+    # the census reads the certificates through defect_table alone
+    monkeypatch.setattr(cn, "defect_table", lambda factor: None)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +252,88 @@ def test_pruned_horizon_equals_unpruned(request, monkeypatch, rep_name):
     assert all(r == runs[0] for r in runs)
     _unpruned(monkeypatch)
     assert cn.completeness_horizon(rep, 9, "cartan") == runs[0][0]
+
+
+def _class_families(d):
+    families = _families(d)
+    families["box"] = cn.BoxWindowFamily(rg.unit([1.0, 1.4][:d]), [1.5, 2.0][:d])
+    return families
+
+
+def _class_run(rep, family, workers, primitive=False, L_max=9):
+    grid = np.arange(3.0, 9.0 + 9.0 * rep.d, 0.7) + 0.013
+    kind = cn.KIND_JORDAN_PRIMITIVE if primitive else cn.KIND_JORDAN
+    # the holonomy sectors of the first complex factor, if any
+    edges = np.linspace(0.0, np.pi, 6) if isinstance(family, cn.BoxWindowFamily) else None
+    profile = {}
+    part, t_trust = cn._census(rep, kind, (family,), grid, L_max, workers, False, edges=edges,
+                               profile=profile)
+    return part.counts, part.histograms, part.c_min, t_trust, profile["class_leaves"]
+
+
+@pytest.mark.parametrize("rep_name", ["two_factor_rep", "mixed_pair", "complex_pair"])
+def test_pruned_class_census_equals_unpruned(request, monkeypatch, rep_name):
+    rep = request.getfixturevalue(rep_name)
+    total = _classes(9)
+    cases = [(name, family, False) for name, family in _class_families(rep.d).items()]
+    cases.append(("primitive tube", _class_families(rep.d)["tube"], True))
+    pruned = {}
+    for name, family, primitive in cases:
+        runs = [_class_run(rep, family, w, primitive) for w in (1, 2, 3)]
+        assert all(r[4] == runs[0][4] for r in runs)  # the same classes in every sharding
+        assert (runs[0][4] < total) == (name != "truncated"), name
+        pruned[name] = runs
+    _unpruned(monkeypatch)
+    for name, family, primitive in cases:
+        counts, hist, c_min, t_trust, leaves = _class_run(rep, family, 1, primitive)
+        assert leaves == total
+        assert (hist is not None) == (name == "box")
+        if hist is not None and rep_name != "two_factor_rep":
+            assert hist.sum() > 0
+        for got in pruned[name]:
+            assert np.array_equal(got[0], counts), name
+            assert (hist is None and got[1] is None) or np.array_equal(got[1], hist), name
+            assert got[2] == c_min and got[3] == t_trust, name
+
+
+@pytest.mark.parametrize("rep_name", ["two_factor_rep", "complex_pair"])
+def test_pruned_jordan_horizon_equals_unpruned(request, monkeypatch, rep_name):
+    rep = request.getfixturevalue(rep_name)
+    runs = []
+    for workers in (1, 2, 3):
+        profile = {}
+        runs.append((cn.completeness_horizon(rep, 9, "jordan", workers, profile=profile), profile))
+    assert runs[0][1]["class_leaves"] < _classes(9) / 2
+    assert all(r == runs[0] for r in runs)
+    _unpruned(monkeypatch)
+    assert cn.completeness_horizon(rep, 9, "jordan") == runs[0][0]
+
+
+def test_sink_and_dependence_probe_see_every_class(two_factor_rep):
+    total = _classes(8)
+    family = _class_families(2)["tube"]
+    grid = np.arange(3.0, 27.0, 0.7) + 0.013
+    seen = []
+    profile = {}
+    with_sink = cn.census_jordan(two_factor_rep, family, grid, 8, spectra_sink=lambda l, X, h: seen.append(len(X)))
+    pruned = cn.census_jordan(two_factor_rep, family, grid, 8, profile=profile)
+    assert sum(seen) == total and with_sink == pruned
+    assert profile["class_leaves"] < total
+    assert rp.detect_dependence(two_factor_rep, 8).n_classes == total
+
+
+def test_box_reach_is_the_far_corner():
+    box = cn.BoxWindowFamily([0.6, 0.8], [1.5, 2.0])
+    grid = np.array([3.0, 7.5, 12.25])
+    axis, reach = box.reach(12.25)
+    corner = np.array([[0.6 * 12.25 + 1.5, 0.8 * 12.25 + 2.0]])
+    assert axis == "norm" and reach == pytest.approx(float(np.linalg.norm(corner)), rel=1e-15)
+    assert box.count_grid(corner, grid).tolist() == [0, 0, 1]
+    assert box.count_grid(corner * (1.0 + 1e-9), grid).tolist() == [0, 0, 0]
+    # no nonnegative row beyond the reach is in the box at any grid time
+    rows = np.random.default_rng(3).uniform(0.0, 20.0, size=(20000, 2))
+    outside = rows[np.sqrt(np.sum(rows * rows, axis=1)) > reach]
+    assert len(outside) and box.count_grid(outside, grid).sum() == 0
 
 
 def test_block_pruned_to_nothing_is_not_yielded(two_factor_rep):
@@ -262,7 +407,9 @@ def test_config_artifacts_equal_unpruned(tmp_path, monkeypatch):
         assert {k: v for k, v in manifest.items() if k != "profile"} == want, name
         if "profile" in manifest:
             pruned = runs[name][1]["profile"]
-            assert manifest["profile"]["cartan_leaves"] >= pruned["cartan_leaves"]
+            assert manifest["profile"].keys() == pruned.keys(), name
+            for key in ("cartan_leaves", "class_leaves"):
+                assert manifest["profile"].get(key, 0) >= pruned.get(key, 0), name
     assert "spectra.csv" in runs["dump"][0]
 
 
@@ -274,7 +421,12 @@ def test_manifest_profile_block(tmp_path):
     rep = cli.parse_representation(doc["representation"], tmp_path)
     assert profile["defect_constants"] == [rp.defect_constant(f) for f in rep.factors]
     assert 0 < profile["cartan_leaves"] < gr.total_words(2, 9)
-    # a dump walks every word; a Jordan census walks none
+    # a dump walks every word; a Jordan census walks classes, not words
     assert _cli_run(tmp_path, "cc", doc, dump=True)[1]["profile"]["cartan_leaves"] == gr.total_words(2, 9)
-    jordan = dict(doc, kind="census-jordan", L_max=6)
-    assert "profile" not in _cli_run(tmp_path, "cj", jordan)[1]
+    jordan = dict(doc, kind="census-jordan")
+    profiles = [_cli_run(tmp_path, "cj", jordan, workers=w)[1]["profile"] for w in (1, 2)]
+    assert profiles[1] == profiles[0] and "cartan_leaves" not in profiles[0]
+    assert profiles[0]["defect_constants"] == profile["defect_constants"]
+    assert 0 < profiles[0]["class_leaves"] < _classes(9)
+    dumped = _cli_run(tmp_path, "cj", jordan, dump=True)[1]["profile"]
+    assert dumped["class_leaves"] == _classes(9)
