@@ -1,10 +1,10 @@
 """The counting hot loop.
 
 Streams reduced words / conjugacy-class necklaces through a representation
-in fixed-size chunks, evaluates per-factor matrix products vectorized over
-the chunk, and classifies the resulting spectrum vectors against the region
-families of regions.py over a T-grid: one count row per family, or per
-aperture for a ladder family.
+in blocks of at most BLOCK rows, evaluates per-factor matrix products
+vectorized over the block, and classifies the resulting spectrum vectors
+against the region families of regions.py over a T-grid: one count row per
+family, or per aperture for a ladder family.
 
 _census is the one census driver: census_jordan, census_cartan,
 census_box, the growth-indicator ladder (fitting) and completeness_horizon
@@ -15,48 +15,44 @@ runs it over the worker shards, adds the evaluated Cartan leaves or
 classes to a profile and computes the horizon.  The public entries only wrap its
 counts: one family's first row as a CountSeries (_series), or nothing
 but the horizon.  Each shard task, _jordan_partial, _cartan_partial or
-_box_partial, only picks the chunk stream for _tally, the one chunk loop;
-they keep their names because the perfbench tracer wraps them by name and
-counts their spans as shard busy time.  The word budget is not a
-parameter: group._check_budget reads SPECTRA_CENSUS_MAX_WORDS, or
-DEFAULT_BUDGET, where each stream starts.
+_box_partial, is one call of _partial, which feeds one shard of the walk's
+stream to _tally, the one chunk loop; they keep their names because the
+perfbench tracer wraps them by name and counts their spans as shard busy
+time.  The word budget is not a parameter: group._check_budget reads
+SPECTRA_CENSUS_MAX_WORDS, or DEFAULT_BUDGET, where each stream starts.
 
-Every word is addressed by its index in the depth-first lexicographic order,
-and its (P, S) is the left fold of its letters through one renormalized step
-(_extend): the same floats in the same order whichever chunk or shard
-computes its prefixes, whether word by word (evaluate_chunk) or down the
-prefix tree (_fold_walk).  Counts are therefore bit-identical for any
-chunking and any number of worker shards, and shard merges are plain
-integer sums.  Shards take every workers-th chunk of the walk.  The fold
-keeps each 2x2 in struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of
-contiguous 1-d arrays, for words and necklaces, real and complex alike.
+One walk (_walk) feeds every census, ladder, horizon and probe: it goes
+depth-first down the prefix tree of the reduced words to L_max, once,
+carrying each node's letters and one (P, S) per factor, and yields each
+node once, as an item of its own length.  A word's (P, S) is the left fold
+of its letters through one renormalized step (_extend): the same floats in
+the same order whichever block or shard computes its prefixes, whether
+word by word (evaluate_chunk) or down the tree.  Counts are therefore
+bit-identical for any block size and any number of worker shards, and
+shard merges are plain integer sums.  Shards deal the subtrees below a
+fixed depth round the workers.  The fold keeps each 2x2 in
+struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of contiguous 1-d
+arrays, for words and necklaces, real and complex alike.
 
-The Cartan stream (_word_stream) folds each chunk of word indices down the
-prefix tree, every factor together (_fold_walk), and never decodes it.
-The deep levels of the tree are folded in blocks of at most BLOCK rows,
-each reduced to its Cartan projections at once, so no array of the walk
-grows past a block: the cost of a CHUNK-long step was page faults, not
-arithmetic, as the allocator returned each step's freed temporaries to the
-kernel and the next step faulted them back in.  _tally needs only the
-word length, and the letters are decoded (decode_words) only for a spectra
-sink, or for iter_word_chunks; both walk every word.  The Jordan stream, one
-necklace per conjugacy class, is one walk of the same tree to L_max
-(_class_walk) that keeps only prenecklaces by their FKM state and folds each
-once, in blocks, so its cost scales with the classes rather than the words;
-its shards are the depth-5 subtrees, and its lengths interleave.
-evaluate_chunk, canonical_mask and periods are its test oracles.
+The census kind picks the walk's node filter.  The Cartan stream yields
+every word, reduced to its Cartan projections block by block; a spectra
+sink reads the letters the walk carries.  The Jordan stream, one necklace
+per conjugacy class, keeps only prenecklaces by their FKM state and folds
+the last level's necklaces only, so its cost scales with the classes
+rather than the words.  Within a length either stream comes in word-index
+order, and the lengths interleave.  decode_words, evaluate_chunk,
+cyclically_reduced_mask, canonical_mask and periods are its test oracles.
 
-A census drops, in either walk, the subtrees that no grid point can count
-and that cannot lower the minimal stretch per letter (_Pruning), by the
-certified per-letter-pair defect tables of reps.defect_table and each
-family's reach.  A spectra sink, a truncated tube (which has no reach) and
-the dependence probe walk everything.
+A census drops the subtrees that no grid point can count and that cannot
+lower the minimal stretch per letter (_Pruning), by the certified
+per-letter-pair defect tables of reps.defect_table and each family's
+reach.  A spectra sink, a truncated tube (which has no reach) and the
+dependence probe walk everything.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -85,7 +81,6 @@ from .reps import (
     validate_representation,
 )
 
-CHUNK = 1 << 15
 BLOCK = 1 << 12
 LN2 = math.log(2.0)
 
@@ -263,110 +258,40 @@ def evaluate_chunk(letters: np.ndarray, images, logs: np.ndarray):
     return P, S
 
 
-def _fold_walk(k: int, n: int, start: int, stop: int, factors, bound=None):
-    """Per block of leaves of [start, stop) in stratum n, in index order, one
-    (P, S) per factor: the renormalized products of the words, folded down
-    the prefix tree, every factor together.
+def _walk(k: int, L_max: int, factors, shard=None, bound=None, classes: bool = False):
+    """(letters (m, t) int8, period (m,) or None, one (P, S) per factor) of
+    the nodes of each depth t = 1..L_max of the prefix tree of the reduced
+    words, from one depth-first walk that folds each node once, for every
+    length.
 
-    At depth j the ancestors of the leaves form the contiguous index range
-    [start // b^(n-j), (stop-1) // b^(n-j) + 1) of stratum j, with b = 2k-1.
-    Depth 1 is the generator images; each deeper level extends the level
-    above by one _extend step per node, so a word costs about b/(b-1)
-    products instead of n-1, and its (P, S), P the 4-tuple (p00, p01, p10,
-    p11) of entry arrays in the order cartan_chunk sums them, is
-    bit-identical to evaluate_chunk's.  Only the first and the last node of
-    a level can have children outside the range.
+    Depth 1 is the generator images; each child extends its parent by one
+    _extend step, so a node's (P, S), P the 4-tuple (p00, p01, p10, p11) of
+    entry arrays in the order cartan_chunk sums them, is the left fold of
+    its letters, bit-identical to evaluate_chunk's, and a word costs about
+    b/(b-1) products instead of t-1, b = 2k-1.  Each depth yields the
+    current run's nodes in word-index order, with period None; the lengths
+    interleave.  A level whose children would exceed BLOCK rows is split
+    into runs of BLOCK // b nodes, each descended in turn, so no array of
+    the walk exceeds a block.  The blocks are for the pages, not the flops:
+    a step over tens of thousands of rows frees megabytes of temporaries,
+    which the allocator hands back to the kernel and the next step faults
+    in again, while a block's temporaries are reused from the heap.  shard
+    (w, workers) deals the nodes of depth min(5, max(2, L_max)) round the
+    workers, and only shard 0 yields the shallower nodes (all of them at
+    L_max 1).
 
-    A level is folded whole while its children fit in BLOCK rows; past that
-    its nodes are split into runs whose children do, and each run is
-    descended in turn, so no array of the walk exceeds a block.  The blocks
-    are for the pages, not the flops: a step over a whole CHUNK frees
-    megabytes of temporaries, which the allocator hands back to the kernel
-    and the next step faults in again, while a block's temporaries are
-    reused from the heap.
-
-    bound, a _Pruning, drops the internal nodes none of whose leaves it can
-    need, with the whole subtree below them; a level that loses no node is
-    not gathered.  Without a bound every leaf is yielded, and the blocks,
-    concatenated, are evaluate_chunk's (P, S) for each factor.
-    """
-    table = _letter_table(k).astype(np.intp)
-    base = 2 * k - 1
-
-    def survivors(evals, last, j, left, right):
-        # the rows at depth j that the bound keeps, with the end flags of the
-        # survivors, or None when no row survives
-        keep = bound.alive(evals, None, last, j, (n,))
-        if keep is None:
-            return evals, last, left, right
-        idx = np.flatnonzero(keep)
-        if not idx.size:
-            return None
-        evals = [(_gather(P, idx), S.take(idx)) for P, S in evals]
-        return evals, last.take(idx), left and keep[0], right and keep[-1]
-
-    def descend(j, evals, last, left, right):
-        # left / right: the first / last row is the first / last node of
-        # the range at depth j, whose outer children are clipped
-        while j < n:
-            pw = base ** (n - j)  # leaves per node at depth j
-            child = pw // base
-            r0 = start // child - start // pw * base if left else 0
-            r1 = last.size * base
-            if right:
-                r1 -= (stop - 1) // pw * base + base - 1 - (stop - 1) // child
-            if r1 - r0 > BLOCK and last.size > 1:
-                g = max(1, BLOCK // base)
-                for i in range(0, last.size, g):
-                    run = slice(i, i + g)
-                    yield from descend(
-                        j, [(tuple(x[run] for x in P), S[run]) for P, S in evals], last[run],
-                        left and i == 0, right and i + g >= last.size,
-                    )
-                return
-            parent = np.arange(r0, r1) // base
-            last = table.take(last, axis=0).ravel()[r0:r1]
-            evals = [
-                _extend(_gather(P, parent), S.take(parent), _gather(images, last), logs.take(last))
-                for (P, S), (images, logs) in zip(evals, factors)
-            ]
-            j += 1
-            if bound is not None and j < n:
-                kept = survivors(evals, last, j, left, right)
-                if kept is None:
-                    return
-                evals, last, left, right = kept
-        yield evals
-
-    last = np.arange(start // base ** (n - 1), (stop - 1) // base ** (n - 1) + 1)
-    evals = [(_gather(images, last), logs[last]) for images, logs in factors]
-    if bound is None or n == 1:
-        yield from descend(1, evals, last, True, True)
-    else:
-        kept = survivors(evals, last, 1, True, True)
-        if kept is not None:
-            yield from descend(1, *kept)
-
-
-def _class_walk(k: int, L_max: int, factors, shard=None, bound=None):
-    """(letters (m, t) int8, period (m,), one (P, S) per factor) of the
-    cyclically reduced necklaces of each length t = 1..L_max, from one walk
-    down the prefix tree that folds each node once, for every length.
-
-    The walk keeps only prenecklaces, with their FKM state p, the period of
+    classes keeps only prenecklaces, with their FKM state p, the period of
     the longest Lyndon prefix (Cattell, Ruskey, Sawada, Serra and Miers, J.
     Algorithms 37, 2000): appending a_t to a_0..a_{t-1} kills the node if
     a_t < a_{t-p}, sets p = t + 1 if a_t > a_{t-p} and keeps p otherwise.  A
     node of depth t is a necklace iff t % p == 0, and then p is its period.
-    Each depth yields the current run's necklaces in word-index order; runs
-    split a level whose children exceed BLOCK rows, as in _fold_walk.  shard
-    (w, workers) deals the nodes of depth min(5, L_max) round the workers,
-    and only shard 0 yields the shallower necklaces (all of them at L_max 1).
+    Each depth then yields only its cyclically reduced necklaces, with
+    their periods, and the last level folds only those.
 
-    bound, a _Pruning, drops a node of depth t < L_max, once its own
-    necklace is yielded, when no necklace of length t+1..L_max below it is
-    in reach.  The decision reads only the node's own data, so every shard
-    prunes the levels above the deal alike and deals the same nodes.
+    bound, a _Pruning, drops a node of depth t < L_max, once it is yielded,
+    when no word (or necklace) of length t+1..L_max below it is in reach.
+    The decision reads only the node's own data, so every shard prunes the
+    levels above the deal alike and deals the same nodes.
     """
     table = _letter_table(k).astype(np.intp)
     base = 2 * k - 1
@@ -374,50 +299,58 @@ def _class_walk(k: int, L_max: int, factors, shard=None, bound=None):
     deal = min(5, max(2, L_max))
     dealt = 0  # nodes of depth deal seen so far, in index order
 
+    def take(idx, letters, p, evals):
+        return letters[idx], None if p is None else p[idx], [(_gather(P, idx), S.take(idx)) for P, S in evals]
+
     def pruned(t, letters, p, evals):
-        # the nodes of depth t that some necklace below them needs
+        # the nodes of depth t that some word or necklace below them needs
         if bound is None or t == L_max:
             return letters, p, evals
         keep = bound.alive(evals, letters[:, 0], letters[:, t - 1], t, range(t + 1, L_max + 1))
-        if keep is None:
-            return letters, p, evals
-        idx = np.flatnonzero(keep)
-        return letters[idx], p[idx], [(_gather(P, idx), S.take(idx)) for P, S in evals]
+        return (letters, p, evals) if keep is None else take(np.flatnonzero(keep), letters, p, evals)
 
     def descend(t, letters, p, evals):
         nonlocal dealt
-        while t < L_max and p.size:
-            if p.size * base > BLOCK and p.size > 1:
+        while t < L_max and len(letters):
+            if len(letters) * base > BLOCK and len(letters) > 1:
                 g = max(1, BLOCK // base)
-                for i in range(0, p.size, g):
+                for i in range(0, len(letters), g):
                     run = slice(i, i + g)
                     runs = [(tuple(x[run] for x in P), S[run]) for P, S in evals]
-                    yield from descend(t, letters[run], p[run], runs)
+                    yield from descend(t, letters[run], None if p is None else p[run], runs)
                 return
             a = table.take(letters[:, t - 1], axis=0).ravel()
-            ref = np.repeat(letters[np.arange(p.size), t - p], base)
-            period = np.where(a > ref, t + 1, np.repeat(p, base))
+            if classes:
+                ref = np.repeat(letters[np.arange(p.size), t - p], base)
+                period = np.where(a > ref, t + 1, np.repeat(p, base))
+                neck = ((t + 1) % period == 0) & (a != np.repeat(letters[:, 0], base) ^ 1)
+                # the last level folds only the necklaces it yields
+                idx = np.flatnonzero((a >= ref) & (neck if t + 1 == L_max else True))
+            else:
+                idx = np.arange(a.size)
             t += 1
-            neck = (t % period == 0) & (a != np.repeat(letters[:, 0], base) ^ 1)
-            # the last level folds only the necklaces it yields
-            idx = np.flatnonzero((a >= ref) & (neck if t == L_max else True))
             if t == deal:
                 idx, dealt = idx[(np.arange(dealt, dealt + idx.size) % workers) == w], dealt + idx.size
             if not idx.size:
                 return
-            parent, a, p = idx // base, a[idx], period[idx]
+            parent, a = idx // base, a[idx]
             letters = np.column_stack([letters.take(parent, axis=0), a.astype(np.int8)])
             evals = [
                 _extend(_gather(P, parent), S.take(parent), _gather(images, a), logs.take(a))
                 for (P, S), (images, logs) in zip(evals, factors)
             ]
-            sel = np.flatnonzero(neck[idx])
-            if sel.size and (t >= deal or w == 0):
-                yield letters[sel], p[sel], [(_gather(P, sel), S.take(sel)) for P, S in evals]
+            if classes:
+                p, sel = period[idx], np.flatnonzero(neck[idx])
+            if t >= deal or w == 0:
+                if not classes:
+                    yield letters, None, evals
+                elif sel.size:
+                    yield take(sel, letters, p, evals)
             letters, p, evals = pruned(t, letters, p, evals)
 
     first = np.arange(2 * k)
-    letters, p = first[:, None].astype(np.int8), np.ones(2 * k, dtype=np.intp)
+    letters = first[:, None].astype(np.int8)
+    p = np.ones(2 * k, dtype=np.intp) if classes else None
     evals = [(_gather(images, first), logs.take(first)) for images, logs in factors]
     if w == 0 and L_max >= 1:
         yield letters, p, evals
@@ -478,80 +411,58 @@ def _factor_images(rep: Representation):
     return out
 
 
-def _chunk_ranges(k: int, L_max: int, shard, chunk: int):
-    """(n, lo, hi) for each chunk of each stratum in walk order; shard (w,
-    workers) keeps every workers-th of them from the w-th on."""
-    w, workers = (0, 1) if shard is None else shard
-    sizes = [(n, stratum_size(k, n)) for n in range(1, L_max + 1)]
-    ranges = ((n, lo, min(lo + chunk, total)) for n, total in sizes for lo in range(0, total, chunk))
-    return itertools.islice(ranges, w, None, workers)
+def _stream(rep, L_max: int, shard=None, reach=None, classes: bool = False):
+    """Yields (letters, X (m,d), holos (m,d) or None, primitive (m,) or None,
+    leaves), one per block of _walk: the Cartan vectors X of the reduced
+    words of length 1..L_max, or with classes the Jordan vectors, holonomy
+    angles and primitivity of the canonical necklaces, one per conjugacy
+    class.  leaves counts the vectors evaluated.
 
-
-def _cartan_blocks(k: int, n: int, lo: int, hi: int, images, bound=None):
-    """The Cartan vectors (m, d) of _fold_walk's blocks of leaves."""
-    for evals in _fold_walk(k, n, lo, hi, images, bound):
-        yield np.column_stack([cartan_chunk(P, S) for P, S in evals])
-
-
-def _word_stream(rep, L_max: int, shard=None, chunk: int = CHUNK, reach=None):
-    """Yields (n, lo, hi, mu (m,d), leaves) over all reduced words of length
-    1..L_max: each chunk is the index range [lo, hi) of stratum n, whose
-    words are folded down the prefix tree and never decoded.  leaves counts
-    the words whose Cartan vector was evaluated.
-
-    reach, when given, is the pair (families, grid) the chunks are counted
-    for: the walk is then pruned by _Pruning.of, if it applies, and mu
-    holds, in index order, only the words that some family may count or
-    that may lower the minimal stretch per letter.  Otherwise mu holds every
-    word of the chunk in index order.  shard, when given, is a pair (w,
-    workers) from _shards; the default covers everything.
+    reach, when given, is the pair (families, grid) the blocks are counted
+    for: the walk is then pruned by _Pruning.of, if it applies, and a block
+    of words keeps only those that some family may count or that may lower
+    the minimal stretch per letter.  Otherwise every word or class is
+    yielded.  shard, when given, is a pair (w, workers) from _shards; the
+    default covers everything.
     """
     _check_budget(rep.k, L_max)
+    is_complex = [f.field == algebra.COMPLEX for f in rep.factors]
     images = _factor_images(rep)
-    bound = None if reach is None else _Pruning.of(rep, *reach, L_max, images)
-    for n, lo, hi in _chunk_ranges(rep.k, L_max, shard, chunk):
-        mu = np.empty((hi - lo, rep.d))
-        rows = leaves = 0
-        for block in _cartan_blocks(rep.k, n, lo, hi, images, bound):
-            leaves += len(block)
-            if bound is not None:
-                block = bound.kept(block, n)
-            mu[rows : rows + len(block)] = block
-            rows += len(block)
-        yield n, lo, hi, mu[:rows], leaves
+    bound = None if reach is None else _Pruning.of(rep, *reach, L_max, images, jordan=classes)
+    for letters, period, evals in _walk(rep.k, L_max, images, shard, bound, classes):
+        X = np.empty((letters.shape[0], rep.d))
+        if not classes:
+            for i, (P, S) in enumerate(evals):
+                X[:, i] = cartan_chunk(P, S)
+            keep = slice(None) if bound is None else bound.kept(X, letters.shape[1])
+            yield letters[keep], X[keep], None, None, len(X)
+            continue
+        holos = np.full(X.shape, np.nan) if any(is_complex) else None
+        for i, (P, S) in enumerate(evals):
+            X[:, i], h = jordan_chunk(P, S, is_complex[i])
+            if h is not None:
+                holos[:, i] = h
+        yield letters, X, holos, period == letters.shape[1], len(X)
 
 
-def iter_word_chunks(rep, L_max: int, shard=None, chunk: int = CHUNK):
-    """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max:
-    _word_stream with each chunk's words decoded."""
-    for n, lo, hi, mu, _ in _word_stream(rep, L_max, shard, chunk):
-        yield decode_words(rep.k, n, lo, hi), mu
+def iter_word_chunks(rep, L_max: int, shard=None):
+    """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max,
+    one chunk per block of the walk: within a length in word-index order,
+    the lengths interleaved in walk order.  shard is as in _stream."""
+    for letters, mu, *_ in _stream(rep, L_max, shard):
+        yield letters, mu
 
 
 def iter_class_chunks(rep, L_max: int, shard=None, reach=None):
     """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
     canonical necklaces of core length 1..L_max, one per conjugacy class.
 
-    Each chunk holds the necklaces of one length from one run of _class_walk,
-    in word-index order; lengths interleave in walk order.  shard is as in
-    iter_word_chunks.  reach, when given, is the pair (families, grid) the
-    chunks are counted for: the walk is then pruned by _Pruning.of, if it
-    applies, and skips the classes that no family may count and that may
-    not lower the minimal stretch per letter.  Otherwise every class is
-    yielded.
+    Each chunk holds the necklaces of one length from one run of the walk,
+    in word-index order; lengths interleave in walk order.  shard and reach
+    are as in _stream.
     """
-    _check_budget(rep.k, L_max)
-    any_complex = any(f.field == algebra.COMPLEX for f in rep.factors)
-    images = _factor_images(rep)
-    bound = None if reach is None else _Pruning.of(rep, *reach, L_max, images, jordan=True)
-    for letters, period, evals in _class_walk(rep.k, L_max, images, shard, bound):
-        lam = np.empty((letters.shape[0], rep.d))
-        holos = np.full((letters.shape[0], rep.d), np.nan) if any_complex else None
-        for i, (P, S) in enumerate(evals):
-            lam[:, i], h = jordan_chunk(P, S, rep.factors[i].field == algebra.COMPLEX)
-            if h is not None:
-                holos[:, i] = h
-        yield letters, lam, holos, period == letters.shape[1]
+    for letters, lam, holos, primitive, _ in _stream(rep, L_max, shard, reach, classes=True):
+        yield letters, lam, holos, primitive
 
 
 def _gate_validated(rep: Representation, force: bool):
@@ -599,13 +510,13 @@ class _Pruning:
     s_ia(r) = min over b != a^-1 of m_ib(r) - C_i[a, b]: every reduced word
     uv with |v| = r has mu_i(uv) >= mu_i(u) + s_ia(r).
 
-    A Cartan word w = uv of stratum n whose prefix u has depth j < n thus
-    lies above the point L = (max(0, mu_i(u) + s_ia(n - j)))_i of the
+    A Cartan word w = uv of stratum n whose prefix u has depth t < n thus
+    lies above the point L = (max(0, mu_i(u) + s_ia(n - t)))_i of the
     positive orthant.  A necklace w = uv of length n, u a node of the class
     walk at depth t < n, has lambda_i(w) >= mu_i(w) - C_i[last(w), first(u)]
     (the C_lambda corollary of reps.defect_table), so its Jordan vector lies
-    above L less the largest C_i[c, first(u)] over c, and the node is
-    dropped only if that point is out of reach for every n = t+1..L_max.
+    above L less the largest C_i[c, first(u)] over c.  Either walk drops
+    the node only if that point is out of reach for every n = t+1..L_max.
 
     Out of reach means ||L|| > max(R, n c1) and every coordinate family's
     coordinate of L exceeds its R: a ball, ladder or box counts no norm
@@ -620,12 +531,13 @@ class _Pruning:
     Internal nodes are tested with h = log(||P||_F^2 / 2) <= mu, which saves
     cartan_chunk's three transcendental steps, and Cartan leaves by their
     own mu, with no defect term; the class walk evaluates every necklace it
-    reaches.  m_ib(r) is the exact minimum for r <= EXACT (8,748 words at
-    k = 2), from an unpruned walk that every worker runs for itself,
-    extended by m_ib(x + y) >= m_ib(x) + m_i(y) - C_i beyond, m_i the
-    minimum over the first letters and C_i the largest entry of the table.
+    reaches.  m_ib(r) is the exact minimum for r <= EXACT (8,748 words of
+    length 8 at k = 2), from one unpruned walk to depth EXACT (or L_max - 1)
+    that every worker runs for itself, extended by m_ib(x + y) >= m_ib(x) +
+    m_i(y) - C_i beyond, m_i the minimum over the first letters and C_i the
+    largest entry of the table; c1 comes from the generator images alone.
     The decision reads only a node's own (P, S), first and last letters and
-    these constants, so it does not depend on chunking or workers.
+    these constants, so it does not depend on the block size or workers.
     """
 
     EXACT = 8
@@ -647,24 +559,24 @@ class _Pruning:
     def __init__(self, rep, reaches, L_max: int, images, tables: np.ndarray, jordan: bool):
         """tables[a, b, i] is C_i[a, b]."""
         k, d = rep.k, rep.d
-        if jordan:
-            fields = [f.field == algebra.COMPLEX for f in rep.factors]
-            one = np.column_stack([jordan_chunk(P, S, c)[0] for (P, S), c in zip(images, fields)])
-        else:
-            (one,) = _cartan_blocks(k, 1, 0, 2 * k, images)
+        fields = [f.field == algebra.COMPLEX for f in rep.factors]
+        one = np.column_stack(
+            [jordan_chunk(P, S, c)[0] if jordan else cartan_chunk(P, S) for (P, S), c in zip(images, fields)]
+        )
         c1 = float(np.min(np.sqrt(_row_sq_sum(one))))
         ball = max([R for axis, R in reaches if axis == "norm"], default=0.0)
         scale = 1.0 + self.MARGIN
         self.norm2 = [(max(ball, n * c1) * scale + self.MARGIN) ** 2 for n in range(L_max + 1)]
         self.coords = [(axis, R * scale + self.MARGIN) for axis, R in reaches if axis != "norm"]
         m = np.zeros((max(L_max, 2), 2 * k, d))  # m[r, b, i] = m_ib(r)
-        for r in range(1, L_max):
-            if r <= self.EXACT:
-                mu = np.concatenate(list(_cartan_blocks(k, r, 0, stratum_size(k, r), images)))
-                m[r] = mu.reshape(2 * k, -1, d).min(axis=1)  # words in index order
-            else:
-                low = m[r - 1 : 0 : -1].min(axis=1)  # m_i(r - x) for x = 1..r-1
-                m[r] = np.max(m[1:r] + low[:, None], axis=0) - tables.max(axis=(0, 1))
+        exact = min(self.EXACT, L_max - 1)
+        m[1 : exact + 1] = np.inf
+        for letters, _, evals in _walk(k, exact, images):
+            mu = np.column_stack([cartan_chunk(P, S) for P, S in evals])
+            np.minimum.at(m[letters.shape[1]], letters[:, 0], mu)
+        for r in range(exact + 1, L_max):
+            low = m[r - 1 : 0 : -1].min(axis=1)  # m_i(r - x) for x = 1..r-1
+            m[r] = np.max(m[1:r] + low[:, None], axis=0) - tables.max(axis=(0, 1))
         # slack[r, a, i] = s_ia(r); C_i[a, a ^ 1] = -inf drops b = a^-1
         self.slack = np.min(m[:, None] - tables[None], axis=2)
         # entry[b, i]: the largest C_i[c, b] over the letters c a necklace can end with
@@ -703,17 +615,18 @@ class _Pruning:
                 return None
         return ~drop
 
-    def kept(self, mu: np.ndarray, n: int) -> np.ndarray:
+    def kept(self, mu: np.ndarray, n: int):
         """The leaves of stratum n, mu (m, d) their Cartan vectors, that
-        some family may count or that may lower the minimal stretch."""
+        some family may count or that may lower the minimal stretch: a
+        mask, or a slice of every row."""
         if not self.beyond(mu.max(axis=0).tolist(), n):
-            return mu
-        return mu[~self.beyond(mu.T, n)]
+            return slice(None)
+        return ~self.beyond(mu.T, n)
 
 
 def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
-    """One (w, workers) per worker: the Cartan walk's chunks, or the class
-    walk's depth-5 subtrees, are dealt round the workers, so each gets the
+    """One (w, workers) per worker: the walk's subtrees below depth
+    min(5, max(2, L_max)) are dealt round the workers, so each gets the
     same number give or take one."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -725,23 +638,25 @@ def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
 def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial:
     """The one chunk loop behind every census, horizon and ladder.
 
-    chunks yields (n, letters, X, holos or None, primitive or None), n the
-    word length and letters None when no sink reads them.  Per chunk it
-    folds the minimal stretch per letter into c_min, hands the chunk to the
-    sink, adds each family's count_grid into its block of counts (one
-    row, or family.rows), and, when sector edges are given, bins the
-    holonomy of the rows inside the first family's window per grid time.
+    chunks yields _stream's (letters, X, holos or None, primitive or None,
+    leaves).  Per chunk it adds the leaves, folds the minimal stretch per
+    letter into c_min, hands the chunk to the sink, adds each family's
+    count_grid into its block of counts (one row, or family.rows), and,
+    when sector edges are given, bins the holonomy of the rows inside the
+    first family's window per grid time.
     """
     spans = np.cumsum([0] + [getattr(f, "rows", 1) for f in families])
     counts = np.zeros((spans[-1], grid.size), dtype=np.int64)
     hist = None if edges is None else np.zeros((rep.d, grid.size, len(edges) - 1), dtype=np.int64)
     c_min = math.inf
+    leaves = 0
     complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
-    for n, letters, X, holos, primitive in chunks:
+    for letters, X, holos, primitive, evaluated in chunks:
+        leaves += evaluated
         if not len(X):  # a chunk the bound pruned to nothing
             continue
         norms = np.sqrt(_row_sq_sum(X))
-        c_min = min(c_min, float(np.min(norms / n)))
+        c_min = min(c_min, float(np.min(norms / letters.shape[1])))
         if sink is not None:
             sink(letters, X, holos)
         keep = primitive if primitive_only else slice(None)
@@ -762,48 +677,27 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
                 step = np.bincount(i0 * bins + sector, minlength=size)
                 step -= np.bincount(i1 * bins + sector, minlength=size)
                 hist[i] += np.cumsum(step.reshape(grid.size + 1, bins), axis=0)[:-1]
-    return _Partial(counts, c_min, hist)
+    return _Partial(counts, c_min, hist, leaves)
 
 
-def _class_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard) -> _Partial:
-    """_tally of the class walk, with the classes it evaluated as leaves."""
-    # a sink reads every class, so it is walked unpruned
+def _partial(rep, families, grid, L_max, classes, primitive_only, edges, sink, shard) -> _Partial:
+    """_tally of one shard of the walk, over the classes or the words."""
+    # a sink reads every item, so it is walked unpruned
     reach = (families, grid) if sink is None else None
-    leaves = 0
-
-    def chunks():
-        nonlocal leaves
-        for letters, lam, holos, primitive in iter_class_chunks(rep, L_max, shard, reach):
-            leaves += len(lam)
-            yield letters.shape[1], letters, lam, holos, primitive
-
-    part = _tally(rep, chunks(), families, grid, primitive_only, edges, sink)
-    part.leaves = leaves
-    return part
+    chunks = _stream(rep, L_max, shard, reach, classes)
+    return _tally(rep, chunks, families, grid, primitive_only, edges, sink)
 
 
 def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, shard) -> _Partial:
-    return _class_partial(rep, families, grid, L_max, primitive_only, None, sink, shard)
+    return _partial(rep, families, grid, L_max, True, primitive_only, None, sink, shard)
 
 
 def _cartan_partial(rep, families, grid, L_max, sink, shard) -> _Partial:
-    # a sink reads every word in order, so it is walked unpruned
-    reach = (families, grid) if sink is None else None
-    leaves = 0
-
-    def chunks():
-        nonlocal leaves
-        for n, lo, hi, mu, evaluated in _word_stream(rep, L_max, shard, reach=reach):
-            leaves += evaluated
-            yield n, None if sink is None else decode_words(rep.k, n, lo, hi), mu, None, None
-
-    part = _tally(rep, chunks(), families, grid, False, None, sink)
-    part.leaves = leaves
-    return part
+    return _partial(rep, families, grid, L_max, False, False, None, sink, shard)
 
 
 def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard) -> _Partial:
-    return _class_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard)
+    return _partial(rep, families, grid, L_max, True, primitive_only, edges, sink, shard)
 
 
 def _run_sharded(task: Callable, workers: int) -> _Partial:

@@ -118,7 +118,10 @@ def total_words(k: int, max_len: int) -> int:
 def _check_budget(k: int, max_len: int):
     """Raise CapacityExceeded when the ball is over the word budget,
     SPECTRA_CENSUS_MAX_WORDS or else DEFAULT_BUDGET, or when its top stratum
-    outgrows the int64 word indices of the vectorized walk."""
+    outgrows int64.  The budget counts words, whichever stream runs.  The
+    census walk addresses no word by index; the int64 check keeps a lifted
+    budget inside the word indices of census.decode_words, the test oracle
+    that does."""
     env = os.environ.get(ENV_BUDGET)
     limit = int(env) if env else DEFAULT_BUDGET
     projected = total_words(k, max_len)

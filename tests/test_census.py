@@ -255,7 +255,7 @@ def test_holonomy_bins_match_per_grid_loop(primitive_only):
         holos[:3, 0] = [0.0, 0.4, math.pi]
         primitive = rng.random(m) < 0.7
         X = np.column_stack([lo, hi, rng.uniform(1.0, 2.0, m)])
-        chunks.append((3, None, X, holos, primitive))
+        chunks.append((np.zeros((m, 3), dtype=np.int8), X, holos, primitive, m))
         keep = primitive if primitive_only else slice(None)
         want = want + _per_grid_holonomy_bins(lo[keep], hi[keep], holos[keep], grid, edges, [0, 2], 3)
     part = cn._tally(rep, iter(chunks), [_Window()], grid, primitive_only, edges, None)

@@ -119,10 +119,32 @@ def test_census_cartan_with_dump(tmp_path):
     n_words = sum(cn.stratum_size(2, n) for n in range(1, 5))
     assert len(lines) == 1 + n_words
     words = [line.split(",")[0] for line in lines[1:]]
-    # the dump walks stratum by stratum; a stable sort by length turns the
-    # depth-first order of the scalar enumerator into the same order
+    # below the first split of a run the walk goes level by level; a stable
+    # sort by length turns the depth-first order of the scalar enumerator
+    # into the same order
     expected = sorted(gr.enumerate_reduced_words(2, 4), key=lambda w: w.length)
     assert words == [str(w) for w in expected]
+
+
+def test_census_cartan_dump_interleaves_lengths(tmp_path):
+    # at L_max 9 the walk splits runs, so the lengths interleave; within a
+    # length the words keep the scalar enumerator's order
+    doc = {
+        "representation": PAIR,
+        "region": {"type": "cone", "direction": [1.0], "half_angle": 0.5},
+        "t_grid": {"t_min": 2.0, "t_max": 10.0, "step": 1.0},
+        "L_max": 9,
+    }
+    out = tmp_path / "out"
+    res = run_cli("census-cartan", "--config", str(write_config(tmp_path, "cc.json", doc)),
+                  "--out", str(out), "--dump-spectra")
+    assert res.returncode == 0, res.stderr
+    words = [line.split(",")[0] for line in (out / "spectra.csv").read_text().strip().split("\n")[1:]]
+    expected = sorted(gr.enumerate_reduced_words(2, 9), key=lambda w: w.length)
+    length = {str(w): w.length for w in expected}
+    assert len(words) == len(expected) == gr.total_words(2, 9)
+    assert words != [str(w) for w in expected]
+    assert sorted(words, key=length.__getitem__) == [str(w) for w in expected]
 
 
 def test_ladder_cli(tmp_path):

@@ -111,56 +111,60 @@ def _outcome(jordan, P, S, is_complex):
     return lengths, holos
 
 
-def _walk(k, n, lo, hi, mats, logs):
-    """_fold_walk's unpruned one-factor blocks, checked to tile [lo, hi) with
-    1..BLOCK rows each, concatenated in order into one (P, S)."""
-    blocks = [evals for (evals,) in cn._fold_walk(k, n, lo, hi, [(mats, logs)])]
-    assert all(1 <= S.size <= cn.BLOCK and all(x.size == S.size for x in P) for P, S in blocks)
-    assert sum(S.size for _, S in blocks) == hi - lo
-    P = tuple(np.concatenate([b[0][j] for b in blocks]) for j in range(4))
-    return P, np.concatenate([S for _, S in blocks])
+def _walk(k, n_max, mats, logs, workers=1):
+    """The unpruned one-factor walk to n_max at this many workers, each
+    block checked to hold 1..BLOCK rows, as {n: (letters, (P, S))} per
+    length in word-index order (shards merged back into it)."""
+    parts = []
+    for shard in cn._shards(workers):
+        blocks = []
+        for letters, period, evals in cn._walk(k, n_max, [(mats, logs)], shard):
+            ((P, S),) = evals
+            assert period is None
+            assert 1 <= S.size <= cn.BLOCK and letters.shape[0] == S.size
+            assert all(x.size == S.size for x in P)
+            blocks.append([letters, *P, S])
+        parts.append(_per_length(blocks))
+    merged = parts[0] if workers == 1 else _merge_shards(parts)
+    return {n: (letters, (tuple(P), S)) for n, (letters, *P, S) in merged.items()}
 
 
-def _ranges(total: int, chunk: int, offset: int):
-    """Unaligned [lo, hi) chunks; small chunks only near the ends and middle."""
-    cuts = list(range(offset, total, chunk))
-    if chunk < 1000:
-        cuts = cuts[:40] + cuts[len(cuts) // 2 : len(cuts) // 2 + 40] + cuts[-40:]
-    return [(0, offset)] + [(lo, min(lo + chunk, total)) for lo in sorted(set(cuts))]
+def _assert_walk_is_evaluate_chunk(k, n_max, mats, logs):
+    # the letters of every length, in word-index order, and their (P, S)
+    # at 1, 2 and 3 workers
+    want = {}
+    for n in range(1, n_max + 1):
+        letters = cn.decode_words(k, n, 0, gr.stratum_size(k, n))
+        want[n] = (letters, cn.evaluate_chunk(letters, mats, logs))
+    for workers in (1, 2, 3):
+        got = _walk(k, n_max, mats, logs, workers)
+        assert sorted(got) == sorted(want)
+        for n, (letters, evals) in want.items():
+            assert got[n][0].dtype == letters.dtype and np.array_equal(got[n][0], letters)
+            _assert_same(got[n][1], evals)
 
 
+# The walk once also took unaligned word-index ranges [lo, hi) of a stratum
+# and clipped the first and last node of each level to them; it now always
+# walks the whole tree, so those cases went with the clipping.
 @pytest.mark.parametrize("field", [algebra.REAL, algebra.COMPLEX])
 @pytest.mark.parametrize("k, n_max", [(2, 10), (3, 7)])
 def test_prefix_walk_is_bit_identical(k, n_max, field):
     rng = np.random.default_rng(1000 * k + n_max)
     mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
-    mats = _soa(mats)
-    for n in range(1, n_max + 1):
-        total = gr.stratum_size(k, n)
-        P, S = cn.evaluate_chunk(cn.decode_words(k, n, 0, total), mats, logs)
-        _assert_same(_walk(k, n, 0, total, mats, logs), (P, S))
-        for chunk in (1, 7, 1000, 4095, 4097, cn.CHUNK):
-            for lo, hi in _ranges(total, chunk, offset=min(5, total - 1)):
-                if lo == hi:
-                    continue
-                _assert_same(_walk(k, n, lo, hi, mats, logs), (tuple(x[lo:hi] for x in P), S[lo:hi]))
+    _assert_walk_is_evaluate_chunk(k, n_max, _soa(mats), logs)
 
 
 @pytest.mark.parametrize("block", [6, 10, 50])
 @pytest.mark.parametrize("k, n_max", [(2, 9), (3, 6)])
 def test_prefix_walk_blocks_tile_any_block_size(monkeypatch, k, n_max, block):
-    # blocks far below the default split runs of single nodes whose leaves
+    # blocks far below the default split runs of single nodes whose children
     # outnumber a block, and split them again further down
     monkeypatch.setattr(cn, "BLOCK", block)
     rng = np.random.default_rng(3000 + 100 * k + block)
-    mats, logs = rp.generator_arrays(_random_factor(rng, k, algebra.COMPLEX), k)
-    mats = _soa(mats)
-    for n in range(1, n_max + 1):
-        total = gr.stratum_size(k, n)
-        P, S = cn.evaluate_chunk(cn.decode_words(k, n, 0, total), mats, logs)
-        for lo, hi in [(0, total), (1, total - 1), (total // 3, total // 3 + 1), (5, min(total, 301))]:
-            if lo < hi:
-                _assert_same(_walk(k, n, lo, hi, mats, logs), (tuple(x[lo:hi] for x in P), S[lo:hi]))
+    for field in (algebra.REAL, algebra.COMPLEX):
+        mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
+        _assert_walk_is_evaluate_chunk(k, n_max, _soa(mats), logs)
 
 
 @pytest.mark.parametrize("field", [algebra.REAL, algebra.COMPLEX])
@@ -170,12 +174,13 @@ def test_soa_kernel_matches_stride_four_oracle(k, n_max, field):
     mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
     images = _soa(mats)
     is_complex = field == algebra.COMPLEX
+    walked = _walk(k, n_max, images, logs)
     for n in range(1, n_max + 1):
         total = gr.stratum_size(k, n)
         letters = cn.decode_words(k, n, 0, total)
         P, S = _oracle_evaluate(letters, mats, logs)
         want = (_soa(P), S)
-        for got in (cn.evaluate_chunk(letters, images, logs), _walk(k, n, 0, total, images, logs)):
+        for got in (cn.evaluate_chunk(letters, images, logs), walked[n][1]):
             _assert_same(got, want)
         _assert_same((cn.cartan_chunk(*want),), (_oracle_cartan(P, S),))
         # the loxodromic rows, where jordan_chunk returns spectra, then the
@@ -209,20 +214,37 @@ def test_cartan_path_decodes_no_word(monkeypatch, two_factor_rep):
     ladder = fitting.growth_indicator_ladder(two_factor_rep, v, [1.6, 1.1], grid, 7, "cartan-tube")
     assert ladder.c_min_hat == series.c_min_hat
     assert cn.completeness_horizon(two_factor_rep, 7, "cartan")[1] == series.c_min_hat
+    # a sink reads the letters the walk carries, and sees every word
+    rows = []
+    sunk = cn.census_cartan(two_factor_rep, cn.TubeBallFamily(rg.TubeSpec(v, 1.3)), grid, 7,
+                            spectra_sink=lambda letters, X, holos: rows.append((letters, X)))
+    assert sunk == series
+    assert sum(len(letters) for letters, _ in rows) == gr.total_words(2, 7)
+    images = cn._factor_images(two_factor_rep)
+    for letters, X in rows:
+        mu = np.column_stack([cn.cartan_chunk(*cn.evaluate_chunk(letters, *f)) for f in images])
+        assert np.array_equal(X.view(np.uint8), mu.view(np.uint8))
 
 
-def test_word_chunks_independent_of_chunk_size(two_factor_rep):
-    def stream(L_max, **kw):
-        chunks = list(cn.iter_word_chunks(two_factor_rep, L_max, **kw))
-        return np.concatenate([c[0].ravel() for c in chunks]), np.concatenate([c[1] for c in chunks])
+def test_word_chunks_independent_of_chunk_size(monkeypatch, two_factor_rep):
+    # the chunks are the walk's blocks: per length, their words and Cartan
+    # vectors are the same for any BLOCK
+    def stream(L_max):
+        chunks = list(cn.iter_word_chunks(two_factor_rep, L_max))
+        assert max(len(c[0]) for c in chunks) <= cn.BLOCK
+        return _per_length(chunks)
 
-    # at L_max 10 the strata span several chunks and blocks
+    # at L_max 10 the strata span several blocks
     for L_max, sizes in [(7, (7,)), (10, (7, 4097))]:
-        letters, mu = stream(L_max)
-        for chunk in sizes:
-            letters_c, mu_c = stream(L_max, chunk=chunk)
-            assert np.array_equal(letters, letters_c)
-            assert np.array_equal(mu.view(np.uint8), mu_c.view(np.uint8))
+        want = stream(L_max)
+        for block in sizes:
+            monkeypatch.setattr(cn, "BLOCK", block)
+            got = stream(L_max)
+            monkeypatch.undo()
+            assert sorted(got) == sorted(want) == list(range(1, L_max + 1))
+            for n in want:
+                assert np.array_equal(got[n][0], want[n][0])
+                assert np.array_equal(got[n][1].view(np.uint8), want[n][1].view(np.uint8))
 
 
 def test_cartan_walk_folds_in_blocks(monkeypatch, real_pair):
@@ -282,7 +304,7 @@ def _merge_shards(parts):
 
 
 def _walk_columns(letters, period, evals):
-    """A _class_walk chunk as columns: letters, period, then each factor's
+    """A class walk chunk as columns: letters, period, then each factor's
     four entries of P and S."""
     return [letters, period] + [x for P, S in evals for x in (*P, S)]
 
@@ -307,7 +329,7 @@ def test_necklace_walk_matches_decode_and_filters(k, n_max):
         want[n] = _walk_columns(letters, cn.periods(letters), evals)
     for workers in (1, 2, 3):
         parts = [
-            _per_length(_walk_columns(*c) for c in cn._class_walk(k, n_max, factors, shard))
+            _per_length(_walk_columns(*c) for c in cn._walk(k, n_max, factors, shard, classes=True))
             for shard in cn._shards(workers)
         ]
         got = parts[0] if workers == 1 else _merge_shards(parts)
@@ -343,7 +365,7 @@ def _decoded_class_chunks(rep, L_max):
 
 @pytest.mark.parametrize("rep_name", ["two_factor_rep", "complex_pair"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("block", [7, 1000, cn.CHUNK])
+@pytest.mark.parametrize("block", [7, 1000, 1 << 15])
 def test_class_chunks_match_decoded_pipeline(monkeypatch, request, rep_name, workers, block):
     # blocks from two nodes a run to whole levels; per length, the chunks of
     # one worker come in word-index order
@@ -365,22 +387,36 @@ def test_class_chunks_match_decoded_pipeline(monkeypatch, request, rep_name, wor
     assert rows == len(list(gr.enumerate_conjugacy_classes(rep.k, 8)))
 
 
+def _assert_shards_partition(k, L_max, workers, classes):
+    # the shards' items are every class (with its primitivity) or every
+    # word once, and each shard yields each length in word-index order
+    seen = []
+    for shard in cn._shards(workers):
+        order = {}
+        for letters, period, evals in cn._walk(k, L_max, [], shard, classes=classes):
+            assert evals == [] and (period is None) != classes
+            rows = [tuple(int(c) for c in row) for row in letters]
+            order.setdefault(letters.shape[1], []).extend(rows)
+            seen += rows if period is None else [(row, bool(p == len(row))) for row, p in zip(rows, period)]
+        assert all(rows == sorted(rows) for rows in order.values())
+    if classes:
+        expected = {
+            (tuple(gr.letter_code(l) for l in c.letters), c.primitive)
+            for c in gr.enumerate_conjugacy_classes(k, L_max)
+        }
+    else:
+        expected = {tuple(gr.letter_code(l) for l in w.letters) for w in gr.enumerate_reduced_words(k, L_max)}
+    assert len(seen) == len(set(seen))
+    assert set(seen) == expected
+
+
 @pytest.mark.parametrize("k, L_max", [(2, 1), (2, 3), (2, 7), (3, 5)])
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_class_walk_shards_partition_the_classes(k, L_max, workers):
     # below depth 5 the walk deals the nodes of depth L_max, or none at
-    # L_max 1, where shard 0 yields every class
-    seen = []
-    for shard in cn._shards(workers):
-        for letters, period, evals in cn._class_walk(k, L_max, [], shard):
-            assert evals == []
-            seen += [(tuple(int(c) for c in row), bool(p == len(row))) for row, p in zip(letters, period)]
-    expected = {
-        (tuple(gr.letter_code(l) for l in c.letters), c.primitive)
-        for c in gr.enumerate_conjugacy_classes(k, L_max)
-    }
-    assert len(seen) == len(set(seen))
-    assert set(seen) == expected
+    # L_max 1, where shard 0 yields every class; the word walk deals alike
+    _assert_shards_partition(k, L_max, workers, classes=True)
+    _assert_shards_partition(k, L_max, workers, classes=False)
 
 
 @pytest.mark.parametrize("block", [6, 50])
@@ -426,16 +462,5 @@ def test_class_path_never_evaluates_word_by_word(monkeypatch, complex_pair, two_
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_shard_chunks_partition_every_stratum(k, workers):
-    L_max, chunk = 6, 7
-    ranges = {}
-    for shard in cn._shards(workers):
-        walk = list(cn._chunk_ranges(k, L_max, shard, chunk))
-        assert walk == sorted(walk)
-        for n, lo, hi in walk:
-            ranges.setdefault(n, []).append((lo, hi))
-    assert sorted(ranges) == list(range(1, L_max + 1))
-    for n, spans in ranges.items():
-        spans.sort()
-        assert spans[0][0] == 0 and spans[-1][1] == gr.stratum_size(k, n)
-        assert all(lo < hi for lo, hi in spans)
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    # the word walk's shards, at one worker too, past the depth of the deal
+    _assert_shards_partition(k, 6, workers, classes=False)

@@ -336,26 +336,58 @@ def test_box_reach_is_the_far_corner():
     assert len(outside) and box.count_grid(outside, grid).sum() == 0
 
 
-def test_block_pruned_to_nothing_is_not_yielded(two_factor_rep):
-    # no family and the smallest possible reach: whole strata vanish, and
-    # _tally must step over their empty chunks
+def test_block_pruned_to_nothing_is_not_yielded(monkeypatch, two_factor_rep):
+    # a coordinate ray and runs of two nodes: some blocks lose every leaf to
+    # the leaf filter though a deeper word below them is in reach, and
+    # _tally must step over their empty chunks; the walk yields no empty block
+    monkeypatch.setattr(cn, "BLOCK", 6)
     images = cn._factor_images(two_factor_rep)
-    bound = cn._Pruning.of(two_factor_rep, (), np.array([1.0]), 9, images)
-    chunks = list(cn._word_stream(two_factor_rep, 9, chunk=100, reach=((), np.array([1.0]))))
-    assert any(len(mu) == 0 for _, _, _, mu, _ in chunks)
-    for n in range(2, 10):
-        blocks = list(cn._fold_walk(2, n, 0, gr.stratum_size(2, n), images, bound))
-        assert all(evals[0][1].size > 0 for evals in blocks)
+    reach = ((cn.CoordinateRayFamily(0, 2),), np.array([15.0]))
+    bound = cn._Pruning.of(two_factor_rep, *reach, 9, images)
+    chunks = list(cn._stream(two_factor_rep, 9, reach=reach))
+    assert any(len(mu) == 0 and leaves > 0 for _, mu, _, _, leaves in chunks)
+    blocks = list(cn._walk(2, 9, images, bound=bound))
+    assert all(evals[0][1].size > 0 for _, _, evals in blocks)
 
 
 def test_tally_skips_empty_chunks(two_factor_rep):
     family = cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0, 1.4]), 1.3))
     grid = np.arange(2.0, 24.0, 0.61) + 0.017
-    chunks = [(n, None, mu, None, None) for n, _, _, mu, _ in cn._word_stream(two_factor_rep, 6)]
-    empty = (7, None, np.empty((0, 2)), None, None)
+    chunks = list(cn._stream(two_factor_rep, 6))
+    empty = (np.empty((0, 7), dtype=np.int8), np.empty((0, 2)), None, None, 0)
     want = cn._tally(two_factor_rep, iter(chunks), (family,), grid, False, None, None)
     got = cn._tally(two_factor_rep, iter([empty] + chunks + [empty]), (family,), grid, False, None, None)
     assert np.array_equal(got.counts, want.counts) and got.c_min == want.c_min
+    assert got.leaves == want.leaves == gr.total_words(2, 6)
+
+
+def test_pruning_minima_equal_decoded_strata(mixed_pair):
+    # the exact per-letter minima of one walk and the smallest generator
+    # spectrum, against every decoded word of each stratum, for a complex
+    # and a real factor; beyond EXACT the same extension of both
+    images = cn._factor_images(mixed_pair)
+    tables = np.stack([rp.defect_table(f) for f in mixed_pair.factors], axis=-1)
+    fields = [f.field == algebra.COMPLEX for f in mixed_pair.factors]
+    L_top = cn._Pruning.EXACT + 4
+    m = np.zeros((L_top, 4, 2))
+    for r in range(1, cn._Pruning.EXACT + 1):
+        letters = cn.decode_words(2, r, 0, gr.stratum_size(2, r))
+        mu = np.column_stack([cn.cartan_chunk(*cn.evaluate_chunk(letters, *f)) for f in images])
+        m[r] = [mu[letters[:, 0] == b].min(axis=0) for b in range(4)]
+    for r in range(cn._Pruning.EXACT + 1, L_top):
+        low = m[r - 1 : 0 : -1].min(axis=1)
+        m[r] = np.max(m[1:r] + low[:, None], axis=0) - tables.max(axis=(0, 1))
+    slack = np.min(m[:, None] - tables[None], axis=2)
+    gens = cn.decode_words(2, 1, 0, 4)
+    for jordan in (False, True):
+        evals = [cn.evaluate_chunk(gens, *f) for f in images]
+        one = [cn.jordan_chunk(P, S, c)[0] if jordan else cn.cartan_chunk(P, S) for (P, S), c in zip(evals, fields)]
+        c1 = float(np.min(np.sqrt(np.sum(np.column_stack(one) ** 2, axis=1))))
+        for L_max in (2, 5, cn._Pruning.EXACT + 1, L_top):
+            bound = cn._Pruning.of(mixed_pair, (), np.array([1.0]), L_max, images, jordan=jordan)
+            assert np.array_equal(bound.slack.view(np.uint8), slack[:L_max].view(np.uint8)), (jordan, L_max)
+            scale = 1.0 + bound.MARGIN
+            assert bound.norm2 == [(n * c1 * scale + bound.MARGIN) ** 2 for n in range(L_max + 1)]
 
 
 # ---------------------------------------------------------------------------
