@@ -445,23 +445,23 @@ def _stream(rep, L_max: int, shard=None, reach=None, classes: bool = False):
         yield letters, X, holos, period == letters.shape[1], len(X)
 
 
-def iter_word_chunks(rep, L_max: int, shard=None):
+def iter_word_chunks(rep, L_max: int):
     """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max,
     one chunk per block of the walk: within a length in word-index order,
-    the lengths interleaved in walk order.  shard is as in _stream."""
-    for letters, mu, *_ in _stream(rep, L_max, shard):
+    the lengths interleaved in walk order."""
+    for letters, mu, *_ in _stream(rep, L_max):
         yield letters, mu
 
 
-def iter_class_chunks(rep, L_max: int, shard=None, reach=None):
+def iter_class_chunks(rep, L_max: int, shard=None):
     """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
     canonical necklaces of core length 1..L_max, one per conjugacy class.
 
     Each chunk holds the necklaces of one length from one run of the walk,
-    in word-index order; lengths interleave in walk order.  shard and reach
-    are as in _stream.
+    in word-index order; lengths interleave in walk order.  shard is as in
+    _stream.
     """
-    for letters, lam, holos, primitive, _ in _stream(rep, L_max, shard, reach, classes=True):
+    for letters, lam, holos, primitive, _ in _stream(rep, L_max, shard, classes=True):
         yield letters, lam, holos, primitive
 
 
