@@ -10,16 +10,18 @@ _census is the one census driver: census_jordan, census_cartan,
 census_box, the growth-indicator ladder (fitting) and completeness_horizon
 all call it, with a census kind and the families to count.  It alone
 gates the representation, refuses an L_max below 1 and a spectra sink
-across processes, validates the grid, picks the shard task from the kind,
-runs it over the worker shards, adds the evaluated Cartan leaves or
-classes to a profile and computes the horizon.  The public entries only wrap its
+across processes, validates the grid, builds the generator images and the
+pruning bound once, picks the shard task from the kind, runs it over the
+worker shards (_run_sharded), adds the evaluated Cartan leaves or classes
+to a profile and computes the horizon.  The public entries only wrap its
 counts: one family's first row as a CountSeries (_series), or nothing
 but the horizon.  Each shard task, _jordan_partial, _cartan_partial or
 _box_partial, is one call of _partial, which feeds one shard of the walk's
 stream to _tally, the one chunk loop; they keep their names because the
 perfbench tracer wraps them by name and counts their spans as shard busy
 time.  The word budget is not a parameter: group._check_budget reads
-SPECTRA_CENSUS_MAX_WORDS, or DEFAULT_BUDGET, where each stream starts.
+SPECTRA_CENSUS_MAX_WORDS, or DEFAULT_BUDGET, where each stream starts,
+and _census before it builds the bound or forks.
 
 One walk (_walk) feeds every census, ladder, horizon and probe: it goes
 depth-first down the prefix tree of the reduced words to L_max, once,
@@ -30,7 +32,9 @@ the same order whichever block or shard computes its prefixes, whether
 word by word (evaluate_chunk) or down the tree.  Counts are therefore
 bit-identical for any block size and any number of worker shards, and
 shard merges are plain integer sums.  Shards deal the subtrees below a
-fixed depth round the workers.  The fold keeps each 2x2 in
+fixed depth round the workers: the calling process forks a child for
+each shard but shard 0, walks shard 0 itself, and merges the partial
+counts the children pipe back.  The fold keeps each 2x2 in
 struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of contiguous 1-d
 arrays, for words and necklaces, real and complex alike.
 
@@ -54,6 +58,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -275,7 +282,8 @@ def _walk(k: int, L_max: int, factors, shard=None, bound=None, classes: bool = F
     the walk exceeds a block.  The blocks are for the pages, not the flops:
     a step over tens of thousands of rows frees megabytes of temporaries,
     which the allocator hands back to the kernel and the next step faults
-    in again, while a block's temporaries are reused from the heap.  shard
+    in again, while a block's temporaries are reused from the heap, once
+    the walk has raised glibc's trim threshold (below).  shard
     (w, workers) deals the nodes of depth min(5, max(2, L_max)) round the
     workers, and only shard 0 yields the shallower nodes (all of them at
     L_max 1).
@@ -293,6 +301,11 @@ def _walk(k: int, L_max: int, factors, shard=None, bound=None, classes: bool = F
     The decision reads only the node's own data, so every shard prunes the
     levels above the deal alike and deals the same nodes.
     """
+    # glibc raises its dynamic mmap threshold to the size of a freed mmapped
+    # chunk, and its trim threshold to twice that: one 1 MB array freed here
+    # keeps the levels' arrays at the top of the heap from being trimmed off
+    # and faulted in again.  Other allocators just allocate and free it.
+    np.empty(1 << 20, dtype=np.uint8)
     table = _letter_table(k).astype(np.intp)
     base = 2 * k - 1
     w, workers = (0, 1) if shard is None else shard
@@ -411,24 +424,24 @@ def _factor_images(rep: Representation):
     return out
 
 
-def _stream(rep, L_max: int, shard=None, reach=None, classes: bool = False):
+def _stream(rep, L_max: int, shard=None, bound=None, classes: bool = False, images=None):
     """Yields (letters, X (m,d), holos (m,d) or None, primitive (m,) or None,
     leaves), one per block of _walk: the Cartan vectors X of the reduced
     words of length 1..L_max, or with classes the Jordan vectors, holonomy
     angles and primitivity of the canonical necklaces, one per conjugacy
     class.  leaves counts the vectors evaluated.
 
-    reach, when given, is the pair (families, grid) the blocks are counted
-    for: the walk is then pruned by _Pruning.of, if it applies, and a block
-    of words keeps only those that some family may count or that may lower
-    the minimal stretch per letter.  Otherwise every word or class is
-    yielded.  shard, when given, is a pair (w, workers) from _shards; the
-    default covers everything.
+    bound, when given, is the _Pruning of the families the blocks are
+    counted for, built for this L_max and this kind of walk: the walk is
+    pruned by it, and a block of words keeps only those that some family
+    may count or that may lower the minimal stretch per letter.  Otherwise
+    every word or class is yielded.  shard, when given, is a pair (w,
+    workers) from _shards; the default covers everything.  images, when
+    given, is _factor_images(rep).
     """
     _check_budget(rep.k, L_max)
     is_complex = [f.field == algebra.COMPLEX for f in rep.factors]
-    images = _factor_images(rep)
-    bound = None if reach is None else _Pruning.of(rep, *reach, L_max, images, jordan=classes)
+    images = _factor_images(rep) if images is None else images
     for letters, period, evals in _walk(rep.k, L_max, images, shard, bound, classes):
         X = np.empty((letters.shape[0], rep.d))
         if not classes:
@@ -533,9 +546,10 @@ class _Pruning:
     own mu, with no defect term; the class walk evaluates every necklace it
     reaches.  m_ib(r) is the exact minimum for r <= EXACT (8,748 words of
     length 8 at k = 2), from one unpruned walk to depth EXACT (or L_max - 1)
-    that every worker runs for itself, extended by m_ib(x + y) >= m_ib(x) +
-    m_i(y) - C_i beyond, m_i the minimum over the first letters and C_i the
-    largest entry of the table; c1 comes from the generator images alone.
+    that _census runs once, before any shard forks, extended by
+    m_ib(x + y) >= m_ib(x) + m_i(y) - C_i beyond, m_i the minimum over the
+    first letters and C_i the largest entry of the table; c1 comes from the
+    generator images alone.
     The decision reads only a node's own (P, S), first and last letters and
     these constants, so it does not depend on the block size or workers.
     """
@@ -680,40 +694,91 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
     return _Partial(counts, c_min, hist, leaves)
 
 
-def _partial(rep, families, grid, L_max, classes, primitive_only, edges, sink, shard) -> _Partial:
-    """_tally of one shard of the walk, over the classes or the words."""
-    # a sink reads every item, so it is walked unpruned
-    reach = (families, grid) if sink is None else None
-    chunks = _stream(rep, L_max, shard, reach, classes)
+def _partial(
+    rep, families, grid, L_max, classes, primitive_only, edges, sink, images, bound, shard
+) -> _Partial:
+    """_tally of one shard of the walk, over the classes or the words, from
+    the generator images and the bound that the census built for every shard."""
+    chunks = _stream(rep, L_max, shard, bound, classes, images)
     return _tally(rep, chunks, families, grid, primitive_only, edges, sink)
 
 
-def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, True, primitive_only, None, sink, shard)
+def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, images, bound, shard) -> _Partial:
+    return _partial(rep, families, grid, L_max, True, primitive_only, None, sink, images, bound, shard)
 
 
-def _cartan_partial(rep, families, grid, L_max, sink, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, False, False, None, sink, shard)
+def _cartan_partial(rep, families, grid, L_max, sink, images, bound, shard) -> _Partial:
+    return _partial(rep, families, grid, L_max, False, False, None, sink, images, bound, shard)
 
 
-def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, True, primitive_only, edges, sink, shard)
+def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, images, bound, shard) -> _Partial:
+    return _partial(rep, families, grid, L_max, True, primitive_only, edges, sink, images, bound, shard)
+
+
+def _serve(task: Callable, shard, fd: int):
+    """The body of a forked shard process: task(shard), or the exception it
+    raised, pickled into the pipe's write end fd; never returns.  The exit
+    status is 0 only once the whole result is written."""
+    status = 1
+    try:
+        try:
+            result = task(shard)
+        except Exception as exc:  # carried to the parent and raised there
+            result = exc
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run_sharded(task: Callable, workers: int) -> _Partial:
+    """task(shard) over every shard of _shards(workers), merged: counts,
+    histograms and leaves summed, c_min the least.
+
+    One worker runs in this process and never forks.  With more, the
+    process forks one child per shard 1..workers-1, walks shard 0 itself
+    while they run, then reads each child's pipe and reaps it: a child
+    pickles its _Partial, or the exception its shard raised, which is raised
+    again here with its own type, and a child that exits without a whole
+    result is WorkerCrashed.  If this process's own shard raises or is
+    interrupted, the children it forked are killed and reaped.  Forking
+    needs POSIX os.fork; without it workers above 1 are a ValueError.
+    """
     shards = _shards(workers)
     if len(shards) == 1:
         return task(shards[0])
-    # imported here: a one-process run never needs the pool, and the import
-    # costs tens of milliseconds of start-up
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
+    if not hasattr(os, "fork"):
+        raise ValueError(f"workers={workers} needs os.fork, which this platform lacks")
+    pids, pipes = [], []  # the children not yet reaped, and their read ends
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(task, shards))
-    except BrokenProcessPool as exc:
-        raise WorkerCrashed(f"a census worker process died: {exc}") from exc
+        for shard in shards[1:]:
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(task, shard, w)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        parts = [task(shards[0])]
+        for shard in shards[1:]:
+            with os.fdopen(pipes.pop(0), "rb") as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if status != 0:
+                raise WorkerCrashed(f"the census worker for shard {shard[0]} died (exit status {status})")
+            part = pickle.loads(data)
+            if isinstance(part, BaseException):
+                raise part
+            parts.append(part)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in pipes:
+            os.close(r)
     hist = None if parts[0].histograms is None else sum(p.histograms for p in parts)
     return _Partial(
         sum(p.counts for p in parts), min(p.c_min for p in parts), hist, sum(p.leaves for p in parts)
@@ -726,11 +791,12 @@ def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=N
 
     kind picks the shard task: _cartan_partial for KIND_CARTAN, else
     _jordan_partial, or _box_partial when sector edges are given, counting
-    primitive classes only for KIND_JORDAN_PRIMITIVE.  The horizon is capped
-    at the grid's last T, and uncapped without families, where the grid is
-    not read.  When profile is given, a Cartan walk adds its evaluated
-    leaves to profile["cartan_leaves"], and a class walk its evaluated
-    classes to profile["class_leaves"].
+    primitive classes only for KIND_JORDAN_PRIMITIVE.  The generator images
+    and the pruning bound are built here, once, and handed to every shard
+    task.  The horizon is capped at the grid's last T, and uncapped without
+    families, where the grid is not read.  When profile is given, a Cartan
+    walk adds its evaluated leaves to profile["cartan_leaves"], and a class
+    walk its evaluated classes to profile["class_leaves"].
     """
     _gate_validated(rep, force)
     if L_max < 1:
@@ -740,16 +806,21 @@ def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=N
     grid = np.asarray(grid, dtype=float)
     if families and (grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0)):
         raise ValueError("t_grid must be a nonempty strictly increasing 1-d array")
+    if kind not in (KIND_CARTAN, KIND_JORDAN, KIND_JORDAN_PRIMITIVE):
+        raise ValueError(f"unknown census kind {kind!r}")
+    _check_budget(rep.k, L_max)  # before the bound's walk and any fork
     primitive_only = kind == KIND_JORDAN_PRIMITIVE
+    images = _factor_images(rep)
+    # built once, before any shard forks; a sink reads every item, so it is
+    # walked unpruned
+    bound = None if sink is not None else _Pruning.of(rep, families, grid, L_max, images, kind != KIND_CARTAN)
     if kind == KIND_CARTAN:
         task = functools.partial(_cartan_partial, rep, families, grid, L_max, sink)
-    elif kind not in (KIND_JORDAN, KIND_JORDAN_PRIMITIVE):
-        raise ValueError(f"unknown census kind {kind!r}")
     elif edges is None:
         task = functools.partial(_jordan_partial, rep, families, grid, L_max, primitive_only, sink)
     else:
         task = functools.partial(_box_partial, rep, families, grid, L_max, primitive_only, edges, sink)
-    part = _run_sharded(task, workers)
+    part = _run_sharded(functools.partial(task, images, bound), workers)
     if profile is not None:
         key = "cartan_leaves" if kind == KIND_CARTAN else "class_leaves"
         profile[key] = profile.get(key, 0) + part.leaves

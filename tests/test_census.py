@@ -1,7 +1,10 @@
+import functools
+import json
 import math
 import os
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
@@ -9,10 +12,12 @@ import pytest
 
 from spectra_census import algebra
 from spectra_census import census as cn
+from spectra_census import cli
 from spectra_census import fitting as ft
 from spectra_census import group as gr
 from spectra_census import regions as rg
 from spectra_census import reps as rp
+from spectra_census.errors import SpectraCensusError
 from conftest import naive_cartan_census, naive_jordan_census
 
 GRID = np.arange(2.0, 24.0, 0.61) + 0.017
@@ -361,6 +366,9 @@ def test_one_process_run_imports_no_process_pool():
         "family = cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0]), 1.3))\n"
         "cn.census_cartan(rp.schottky_pair(3.0, 3.0), family, np.array([5.0, 9.0]), 6, workers=1)\n"
         "assert 'concurrent.futures.process' not in sys.modules\n"
+        "cn.census_cartan(rp.schottky_pair(3.0, 3.0), family, np.array([5.0, 9.0]), 6, workers=2)\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(cn.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -371,12 +379,105 @@ def test_one_process_run_imports_no_process_pool():
 
 
 def _die(shard):
-    os._exit(1)
+    # the calling process walks shard 0 itself, so only the forked shards die
+    if shard[0] != 0:
+        os._exit(1)
+    return cn._Partial(np.zeros((1, 1), dtype=np.int64), math.inf)
 
 
 def test_worker_crash_is_a_census_error():
     with pytest.raises(cn.WorkerCrashed):
         cn._run_sharded(_die, workers=2)
+
+
+class ShardFailure(SpectraCensusError):
+    """Raised by one shard alone."""
+
+
+def _fail_in_shard_one(shard):
+    if shard[0] == 1:
+        raise ShardFailure("shard 1 failed")
+    return cn._Partial(np.zeros((1, 1), dtype=np.int64), math.inf)
+
+
+def test_worker_exception_keeps_its_type():
+    with pytest.raises(ShardFailure, match="shard 1 failed"):
+        cn._run_sharded(_fail_in_shard_one, workers=2)
+
+
+def test_worker_exception_reaches_the_error_record(tmp_path, monkeypatch):
+    cartan_partial = cn._cartan_partial
+
+    def failing(*args):
+        _fail_in_shard_one(args[-1])
+        return cartan_partial(*args)
+
+    monkeypatch.setattr(cn, "_cartan_partial", failing)
+    pair = {"builder": "schottky_pair", "stretch": 3, "separation": 3, "field": "real"}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "kind": "census-cartan",
+        "representation": pair,
+        "region": {"type": "tube", "direction": [1.0], "epsilon": 0.5},
+        "t_grid": {"t_min": 2.0, "t_max": 14.0, "step": 0.5},
+        "L_max": 6,
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["census-cartan", "--config", str(config), "--out", str(out), "--workers", "2"]) == 1
+    assert json.loads((out / "error.json").read_text())["code"] == ShardFailure.code
+    assert not (out / "MANIFEST.json").exists()
+
+
+def _fail_in_shard_zero(exc, shard):
+    # the forked shards would outlive the test unless the caller kills them
+    if shard[0] != 0:
+        time.sleep(60)
+    raise exc
+
+
+@pytest.mark.parametrize("case", ["census", "child crash", "parent raises", "parent interrupted"])
+def test_sharded_run_leaves_no_child_and_no_open_pipe(real_pair, case):
+    fds = len(os.listdir("/dev/fd"))
+    t0 = time.monotonic()
+    if case == "census":
+        family = cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0]), 0.5))
+        want = cn.census_cartan(real_pair, family, GRID, 6)
+        assert cn.census_cartan(real_pair, family, GRID, 6, workers=3) == want
+    elif case == "child crash":
+        with pytest.raises(cn.WorkerCrashed):
+            cn._run_sharded(_die, workers=3)
+    else:
+        exc = ShardFailure("shard 0 failed") if case == "parent raises" else KeyboardInterrupt()
+        with pytest.raises(type(exc)):
+            cn._run_sharded(functools.partial(_fail_in_shard_zero, exc), workers=3)
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/dev/fd")) == fds
+
+
+@pytest.mark.parametrize("kind", [cn.KIND_CARTAN, cn.KIND_JORDAN])
+def test_pruning_bound_built_once_before_the_fork(two_factor_rep, tube_family, monkeypatch, kind):
+    def census(workers):
+        return cn._series(two_factor_rep, kind, tube_family, GRID, 7, workers, False, profile=profile)[0]
+
+    profile = {}
+    want = census(1)
+    assert min(profile.values()) < gr.total_words(2, 7)  # the census is pruned
+    calls, init, me = [], cn._Pruning.__init__, os.getpid()
+
+    def counted(self, *args, **kwargs):
+        if os.getpid() != me:
+            raise RuntimeError("a forked shard built its own bound")
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cn._Pruning, "__init__", counted)
+    for workers in (1, 2, 3):
+        calls.clear()
+        got = census(workers)
+        assert len(calls) == 1
+        assert (got.counts, got.c_min_hat, got.t_trust) == (want.counts, want.c_min_hat, want.t_trust)
 
 
 def test_int64_overflow_is_capacity_exceeded(real_pair, monkeypatch):

@@ -344,7 +344,7 @@ def test_block_pruned_to_nothing_is_not_yielded(monkeypatch, two_factor_rep):
     images = cn._factor_images(two_factor_rep)
     reach = ((cn.CoordinateRayFamily(0, 2),), np.array([15.0]))
     bound = cn._Pruning.of(two_factor_rep, *reach, 9, images)
-    chunks = list(cn._stream(two_factor_rep, 9, reach=reach))
+    chunks = list(cn._stream(two_factor_rep, 9, bound=bound))
     assert any(len(mu) == 0 and leaves > 0 for _, mu, _, _, leaves in chunks)
     blocks = list(cn._walk(2, 9, images, bound=bound))
     assert all(evals[0][1].size > 0 for _, _, evals in blocks)
