@@ -9,17 +9,17 @@ family, or per aperture for a ladder family.
 _census is the one census driver: census_jordan, census_cartan,
 census_box, the growth-indicator ladder (fitting) and completeness_horizon
 all call it, with a census kind and the families to count.  It alone
-gates the representation, refuses an L_max below 1 and a spectra sink
-across processes, validates the grid, builds the generator images and the
-pruning bound once, picks the shard task from the kind, runs it over the
-worker shards (_run_sharded), adds the evaluated Cartan leaves or classes
-to a profile and computes the horizon.  The public entries only wrap its
-counts: one family's first row as a CountSeries (_series), or nothing
-but the horizon.  Each shard task, _jordan_partial, _cartan_partial or
-_box_partial, is one call of _partial, which feeds one shard of the walk's
-stream to _tally, the one chunk loop; they keep their names because the
-perfbench tracer wraps them by name and counts their spans as shard busy
-time.  The word budget is not a parameter: group._check_budget reads
+gates the representation, refuses an L_max below 1, validates the grid,
+builds the generator images and the pruning bound once, picks the shard
+task from the kind, runs it over the worker shards (_run_sharded), adds
+the evaluated Cartan leaves or classes to a profile and computes the
+horizon.  The public entries only wrap its counts: one family's first row
+as a CountSeries (_series), or nothing but the horizon.  Each shard task,
+_jordan_partial, _cartan_partial or _box_partial, is one call of
+_partial, which feeds one shard of the walk's stream to _tally, the one
+chunk loop; they keep their names because the perfbench tracer wraps
+them by name and counts their spans as shard busy time.  The word
+budget is not a parameter: group._check_budget reads
 SPECTRA_CENSUS_MAX_WORDS, or DEFAULT_BUDGET, where each stream starts,
 and _census before it builds the bound or forks.
 
@@ -39,19 +39,20 @@ struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of contiguous 1-d
 arrays, for words and necklaces, real and complex alike.
 
 The census kind picks the walk's node filter.  The Cartan stream yields
-every word, reduced to its Cartan projections block by block; a spectra
-sink reads the letters the walk carries.  The Jordan stream, one necklace
-per conjugacy class, keeps only prenecklaces by their FKM state and folds
-the last level's necklaces only, so its cost scales with the classes
-rather than the words.  Within a length either stream comes in word-index
+every word, with the letters the walk carries, reduced to its Cartan
+projections block by block.  The Jordan stream, one necklace per
+conjugacy class, keeps only prenecklaces by their FKM state and folds the
+last level's necklaces only, so its cost scales with the classes rather
+than the words.  Within a length either stream comes in word-index
 order, and the lengths interleave.  decode_words, evaluate_chunk,
 cyclically_reduced_mask, canonical_mask and periods are its test oracles.
 
 A census drops the subtrees that no grid point can count and that cannot
 lower the minimal stretch per letter (_Pruning), by the certified
 per-letter-pair defect tables of reps.defect_table and each family's
-reach.  A spectra sink, a truncated tube (which has no reach) and the
-dependence probe walk everything.
+reach.  A truncated tube (which has no reach) and the dependence probe
+walk everything, and so do iter_word_chunks and iter_class_chunks, the
+streams that the CLI's --dump-spectra writes out after the census.
 """
 
 from __future__ import annotations
@@ -649,15 +650,15 @@ def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
     return [(w, workers) for w in range(workers)]
 
 
-def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial:
+def _tally(rep, chunks, families, grid, primitive_only, edges) -> _Partial:
     """The one chunk loop behind every census, horizon and ladder.
 
     chunks yields _stream's (letters, X, holos or None, primitive or None,
     leaves).  Per chunk it adds the leaves, folds the minimal stretch per
-    letter into c_min, hands the chunk to the sink, adds each family's
-    count_grid into its block of counts (one row, or family.rows), and,
-    when sector edges are given, bins the holonomy of the rows inside the
-    first family's window per grid time.
+    letter into c_min, adds each family's count_grid into its block of
+    counts (one row, or family.rows), and, when sector edges are given,
+    bins the holonomy of the rows inside the first family's window per
+    grid time.
     """
     spans = np.cumsum([0] + [getattr(f, "rows", 1) for f in families])
     counts = np.zeros((spans[-1], grid.size), dtype=np.int64)
@@ -671,8 +672,6 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
             continue
         norms = np.sqrt(_row_sq_sum(X))
         c_min = min(c_min, float(np.min(norms / letters.shape[1])))
-        if sink is not None:
-            sink(letters, X, holos)
         keep = primitive if primitive_only else slice(None)
         rows = X[keep]
         for start, stop, family in zip(spans, spans[1:], families):
@@ -694,25 +693,23 @@ def _tally(rep, chunks, families, grid, primitive_only, edges, sink) -> _Partial
     return _Partial(counts, c_min, hist, leaves)
 
 
-def _partial(
-    rep, families, grid, L_max, classes, primitive_only, edges, sink, images, bound, shard
-) -> _Partial:
+def _partial(rep, families, grid, L_max, classes, primitive_only, edges, images, bound, shard) -> _Partial:
     """_tally of one shard of the walk, over the classes or the words, from
     the generator images and the bound that the census built for every shard."""
     chunks = _stream(rep, L_max, shard, bound, classes, images)
-    return _tally(rep, chunks, families, grid, primitive_only, edges, sink)
+    return _tally(rep, chunks, families, grid, primitive_only, edges)
 
 
-def _jordan_partial(rep, families, grid, L_max, primitive_only, sink, images, bound, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, True, primitive_only, None, sink, images, bound, shard)
+def _jordan_partial(rep, families, grid, L_max, primitive_only, images, bound, shard) -> _Partial:
+    return _partial(rep, families, grid, L_max, True, primitive_only, None, images, bound, shard)
 
 
-def _cartan_partial(rep, families, grid, L_max, sink, images, bound, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, False, False, None, sink, images, bound, shard)
+def _cartan_partial(rep, families, grid, L_max, images, bound, shard) -> _Partial:
+    return _partial(rep, families, grid, L_max, False, False, None, images, bound, shard)
 
 
-def _box_partial(rep, families, grid, L_max, primitive_only, edges, sink, images, bound, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, True, primitive_only, edges, sink, images, bound, shard)
+def _box_partial(rep, families, grid, L_max, primitive_only, edges, images, bound, shard) -> _Partial:
+    return _partial(rep, families, grid, L_max, True, primitive_only, edges, images, bound, shard)
 
 
 def _serve(task: Callable, shard, fd: int):
@@ -785,7 +782,7 @@ def _run_sharded(task: Callable, workers: int) -> _Partial:
     )
 
 
-def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=None, profile=None):
+def _census(rep, kind, families, grid, L_max, workers, force, edges=None, profile=None):
     """The one census driver: count families over grid for the census kind,
     on every worker shard, and return (the merged _Partial, t_trust).
 
@@ -801,8 +798,6 @@ def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=N
     _gate_validated(rep, force)
     if L_max < 1:
         raise InsufficientData("need at least the length-1 stratum")
-    if sink is not None and workers > 1:
-        raise ValueError("a spectra sink requires workers=1 (callbacks do not cross processes)")
     grid = np.asarray(grid, dtype=float)
     if families and (grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0)):
         raise ValueError("t_grid must be a nonempty strictly increasing 1-d array")
@@ -811,15 +806,13 @@ def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=N
     _check_budget(rep.k, L_max)  # before the bound's walk and any fork
     primitive_only = kind == KIND_JORDAN_PRIMITIVE
     images = _factor_images(rep)
-    # built once, before any shard forks; a sink reads every item, so it is
-    # walked unpruned
-    bound = None if sink is not None else _Pruning.of(rep, families, grid, L_max, images, kind != KIND_CARTAN)
+    bound = _Pruning.of(rep, families, grid, L_max, images, kind != KIND_CARTAN)  # once, before any fork
     if kind == KIND_CARTAN:
-        task = functools.partial(_cartan_partial, rep, families, grid, L_max, sink)
+        task = functools.partial(_cartan_partial, rep, families, grid, L_max)
     elif edges is None:
-        task = functools.partial(_jordan_partial, rep, families, grid, L_max, primitive_only, sink)
+        task = functools.partial(_jordan_partial, rep, families, grid, L_max, primitive_only)
     else:
-        task = functools.partial(_box_partial, rep, families, grid, L_max, primitive_only, edges, sink)
+        task = functools.partial(_box_partial, rep, families, grid, L_max, primitive_only, edges)
     part = _run_sharded(functools.partial(task, images, bound), workers)
     if profile is not None:
         key = "cartan_leaves" if kind == KIND_CARTAN else "class_leaves"
@@ -827,10 +820,10 @@ def _census(rep, kind, families, grid, L_max, workers, force, sink=None, edges=N
     return part, _horizon(part.c_min, L_max, float(grid[-1]) if families else math.inf)
 
 
-def _series(rep, kind, family, t_grid, L_max, workers, force, sink=None, edges=None, profile=None):
+def _series(rep, kind, family, t_grid, L_max, workers, force, edges=None, profile=None):
     """_census of one family, its first count row as a CountSeries; returns
     (series, the merged _Partial)."""
-    part, t_trust = _census(rep, kind, (family,), t_grid, L_max, workers, force, sink, edges, profile)
+    part, t_trust = _census(rep, kind, (family,), t_grid, L_max, workers, force, edges, profile)
     series = CountSeries(
         t_grid=t_grid,
         counts=part.counts[0],
@@ -852,17 +845,16 @@ def census_jordan(
     primitive_only: bool = False,
     workers: int = 1,
     force: bool = False,
-    spectra_sink=None,
     profile: Optional[dict] = None,
 ) -> CountSeries:
     """Count conjugacy classes whose Jordan vector lies in family(T), per grid T.
 
-    The walk skips the classes no grid point can count (_Pruning) unless a
-    spectra sink reads every class; profile, when given, is a dict whose
+    The walk skips the classes no grid point can count (_Pruning); every
+    class is in iter_class_chunks.  profile, when given, is a dict whose
     "class_leaves" the walk adds its evaluated classes to.
     """
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
-    return _series(rep, kind, family, t_grid, L_max, workers, force, spectra_sink, profile=profile)[0]
+    return _series(rep, kind, family, t_grid, L_max, workers, force, profile=profile)[0]
 
 
 def census_cartan(
@@ -872,18 +864,15 @@ def census_cartan(
     L_max: int,
     workers: int = 1,
     force: bool = False,
-    spectra_sink=None,
     profile: Optional[dict] = None,
 ) -> CountSeries:
     """Count group elements whose Cartan vector lies in family(T), per grid T.
 
-    The walk skips the words no grid point can count (_Pruning) unless a
-    spectra sink reads every word; profile, when given, is a dict whose
+    The walk skips the words no grid point can count (_Pruning); every word
+    is in iter_word_chunks.  profile, when given, is a dict whose
     "cartan_leaves" the walk adds its evaluated words to.
     """
-    return _series(
-        rep, KIND_CARTAN, family, t_grid, L_max, workers, force, spectra_sink, profile=profile
-    )[0]
+    return _series(rep, KIND_CARTAN, family, t_grid, L_max, workers, force, profile=profile)[0]
 
 
 def census_box(
@@ -896,7 +885,6 @@ def census_box(
     primitive_only: bool = False,
     workers: int = 1,
     force: bool = False,
-    spectra_sink=None,
     profile: Optional[dict] = None,
 ):
     """Moving-box census of Jordan vectors, optionally cross-classified by
@@ -915,7 +903,7 @@ def census_box(
         if abs(edges[0]) > 1e-12 or abs(edges[-1] - math.pi) > 1e-12:
             raise ValueError("sector edges must cover [0, pi] exactly")
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
-    series, part = _series(rep, kind, family, t_grid, L_max, workers, force, spectra_sink, edges, profile)
+    series, part = _series(rep, kind, family, t_grid, L_max, workers, force, edges, profile)
     if edges is None:
         return series, None
     histograms = {}

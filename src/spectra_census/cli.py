@@ -264,28 +264,26 @@ def emit_plot_data(artifact, path: Path):
             fh.write(" ".join(str(x) for x in row) + "\n")
 
 
-class SpectraDump:
-    """--dump-spectra sink: one CSV row per enumerated item."""
+def write_spectra_csv(chunks, path: Path, d: int, kind: str):
+    """The --dump-spectra table: one row per item of chunks, (letters,
+    vectors (m, d), holonomies (m, d) or None) in stream order, with the
+    word, its Cartan (mu) or, for a jordan kind, Jordan (lambda) vector,
+    and the holonomy of each complex factor."""
+    label = "lambda" if kind.startswith("jordan") else "mu"
+    header = ["word"] + [f"{label}_{i}" for i in range(d)] + [f"holonomy_{i}" for i in range(d)]
 
-    def __init__(self, path: Path, d: int, kind: str):
-        self.fh = _writer(path)
-        self.w = csv.writer(self.fh, lineterminator="\n")
-        label = "lambda" if kind.startswith("jordan") else "mu"
-        cols = ["word"] + [f"{label}_{i}" for i in range(d)] + [f"holonomy_{i}" for i in range(d)]
-        self.w.writerow(cols)
+    def rows():
+        for letters, vectors, holos in chunks:
+            for row in range(letters.shape[0]):
+                word = "".join(letter_str(code_letter(int(c))) for c in letters[row])
+                vals = [format(x, F15) for x in vectors[row]]
+                if holos is None:
+                    hvals = [""] * d
+                else:
+                    hvals = ["" if math.isnan(h) else format(h, F15) for h in holos[row]]
+                yield [word] + vals + hvals
 
-    def __call__(self, letters, vectors, holos):
-        for row in range(letters.shape[0]):
-            word = "".join(letter_str(code_letter(int(c))) for c in letters[row])
-            vals = [format(x, F15) for x in vectors[row]]
-            if holos is None:
-                hvals = [""] * vectors.shape[1]
-            else:
-                hvals = ["" if math.isnan(h) else format(h, F15) for h in holos[row]]
-            self.w.writerow([word] + vals + hvals)
-
-    def close(self):
-        self.fh.close()
+    _table(path, header, rows())
 
 
 def _finite(value):
@@ -360,37 +358,34 @@ def _series_run(config, args, out: Path) -> int:
     rep = parse_representation(config["representation"], args.base_dir)
     grid = parse_grid(config["t_grid"])
     L_max = _integer("L_max", config["L_max"])
-    if args.dump_spectra and args.workers > 1:
-        raise SchemaError("--dump-spectra needs --workers 1 (the dump is written in one process)")
     if args.command == "census-box":
         direction, _ = _direction(config, rep)
         widths = _vector("widths", config.get("widths"), rep.d)
         sectors = _sector_edges(config.get("sectors"))
     else:
         family = parse_region(config["region"], rep.d)
-    dump = None
-    if args.dump_spectra:
-        kind = "cartan" if args.command == "census-cartan" else "jordan"
-        dump = SpectraDump(out / "spectra.csv", rep.d, kind)
-    walk = dict(workers=args.workers, force=args.force, spectra_sink=dump, profile=args.profile)
+    walk = dict(workers=args.workers, force=args.force, profile=args.profile)
     primitive_only = bool(config.get("primitive_only", False))
-    try:
-        if args.command == "census-box":
-            series, hists = census.census_box(
-                rep, direction, widths, grid, L_max, sectors=sectors,
-                primitive_only=primitive_only, **walk,
-            )
-            if hists:
-                write_histograms_csv(hists, out / "holonomy.csv")
-        elif args.command == "census-jordan":
-            series = census.census_jordan(
-                rep, family, grid, L_max, primitive_only=primitive_only, **walk
-            )
+    if args.command == "census-box":
+        series, hists = census.census_box(
+            rep, direction, widths, grid, L_max, sectors=sectors,
+            primitive_only=primitive_only, **walk,
+        )
+        if hists:
+            write_histograms_csv(hists, out / "holonomy.csv")
+    elif args.command == "census-jordan":
+        series = census.census_jordan(
+            rep, family, grid, L_max, primitive_only=primitive_only, **walk
+        )
+    else:
+        series = census.census_cartan(rep, family, grid, L_max, **walk)
+    if args.dump_spectra:
+        # every word or class, from one unpruned walk in this process
+        if series.kind == census.KIND_CARTAN:
+            chunks = ((letters, mu, None) for letters, mu in census.iter_word_chunks(rep, L_max))
         else:
-            series = census.census_cartan(rep, family, grid, L_max, **walk)
-    finally:
-        if dump is not None:
-            dump.close()
+            chunks = (chunk[:3] for chunk in census.iter_class_chunks(rep, L_max))
+        write_spectra_csv(chunks, out / "spectra.csv", rep.d, series.kind)
     write_series_csv(series, out / "series.csv")
     emit_plot_data(series, out / "series.dat")
     _manifest(

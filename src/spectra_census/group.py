@@ -121,19 +121,21 @@ def _check_budget(k: int, max_len: int):
     outgrows int64.  The budget counts words, whichever stream runs.  The
     census walk addresses no word by index; the int64 check keeps a lifted
     budget inside the word indices of census.decode_words, the test oracle
-    that does."""
+    that does.  The strata are summed only until they pass the budget, so
+    a huge max_len costs a few strata, not a number too long to print."""
     env = os.environ.get(ENV_BUDGET)
     limit = int(env) if env else DEFAULT_BUDGET
-    projected = total_words(k, max_len)
-    if projected > limit:
-        raise CapacityExceeded(
-            f"enumeration of rank {k} up to length {max_len} needs {projected} words, "
-            f"budget is {limit}"
-        )
+    projected = 0
+    for n in range(1, max_len + 1):
+        projected += stratum_size(k, n)
+        if projected > limit:
+            raise CapacityExceeded(
+                f"enumeration of rank {k} up to length {max_len} needs more than {limit} "
+                f"words, the budget"
+            )
     if stratum_size(k, max_len) > INT64_MAX:
         raise CapacityExceeded(
-            f"enumeration of rank {k} up to length {max_len} needs word indices "
-            f"up to {stratum_size(k, max_len)}, beyond int64"
+            f"enumeration of rank {k} up to length {max_len} needs word indices beyond int64"
         )
 
 

@@ -263,7 +263,7 @@ def test_holonomy_bins_match_per_grid_loop(primitive_only):
         chunks.append((np.zeros((m, 3), dtype=np.int8), X, holos, primitive, m))
         keep = primitive if primitive_only else slice(None)
         want = want + _per_grid_holonomy_bins(lo[keep], hi[keep], holos[keep], grid, edges, [0, 2], 3)
-    part = cn._tally(rep, iter(chunks), [_Window()], grid, primitive_only, edges, None)
+    part = cn._tally(rep, iter(chunks), [_Window()], grid, primitive_only, edges)
     assert part.histograms.dtype == np.int64
     assert np.array_equal(part.histograms, want)
     assert want.sum() > 0
@@ -336,17 +336,9 @@ def test_horizon_extension_audit(two_factor_rep):
         assert np.linalg.norm(lam) > t_trust
 
 
-def test_spectra_sink_rows(two_factor_rep, tube_family):
-    rows = []
-
-    def sink(letters, vectors, holos):
-        rows.append(letters.shape[0])
-
-    cn.census_jordan(two_factor_rep, tube_family, GRID, 5, spectra_sink=sink)
-    total = sum(rows)
-    assert total == len(list(gr.enumerate_conjugacy_classes(2, 5)))
-    with pytest.raises(ValueError):
-        cn.census_jordan(two_factor_rep, tube_family, GRID, 5, workers=2, spectra_sink=sink)
+def test_class_stream_rows(two_factor_rep):
+    rows = [letters.shape[0] for letters, *_ in cn.iter_class_chunks(two_factor_rep, 5)]
+    assert sum(rows) == len(list(gr.enumerate_conjugacy_classes(2, 5)))
 
 
 def test_jordan_census_trivial_edges(real_pair):

@@ -127,24 +127,34 @@ def test_census_cartan_with_dump(tmp_path):
 
 
 def test_census_cartan_dump_interleaves_lengths(tmp_path):
-    # at L_max 9 the walk splits runs, so the lengths interleave; within a
-    # length the words keep the scalar enumerator's order
+    # at L_max 9 the word walk splits runs, so the lengths interleave;
+    # within a length the words, or the classes, keep the scalar
+    # enumerator's order
     doc = {
         "representation": PAIR,
         "region": {"type": "cone", "direction": [1.0], "half_angle": 0.5},
         "t_grid": {"t_min": 2.0, "t_max": 10.0, "step": 1.0},
         "L_max": 9,
     }
-    out = tmp_path / "out"
-    res = run_cli("census-cartan", "--config", str(write_config(tmp_path, "cc.json", doc)),
-                  "--out", str(out), "--dump-spectra")
-    assert res.returncode == 0, res.stderr
-    words = [line.split(",")[0] for line in (out / "spectra.csv").read_text().strip().split("\n")[1:]]
-    expected = sorted(gr.enumerate_reduced_words(2, 9), key=lambda w: w.length)
-    length = {str(w): w.length for w in expected}
-    assert len(words) == len(expected) == gr.total_words(2, 9)
-    assert words != [str(w) for w in expected]
-    assert sorted(words, key=length.__getitem__) == [str(w) for w in expected]
+    cfg = str(write_config(tmp_path, "cc.json", doc))
+    cases = [
+        ("census-cartan", list(gr.enumerate_reduced_words(2, 9)), "mu_0"),
+        ("census-jordan", list(gr.enumerate_conjugacy_classes(2, 9)), "lambda_0"),
+    ]
+    for command, items, column in cases:
+        out = tmp_path / command
+        res = run_cli(command, "--config", cfg, "--out", str(out), "--dump-spectra")
+        assert res.returncode == 0, res.stderr
+        header, *lines = (out / "spectra.csv").read_text().strip().split("\n")
+        assert header.split(",")[1] == column
+        words = [line.split(",")[0] for line in lines]
+        expected = sorted(items, key=lambda w: w.length)
+        length = {str(w): w.length for w in expected}
+        assert len(words) == len(expected)
+        if command == "census-cartan":
+            assert len(words) == gr.total_words(2, 9)
+            assert words != [str(w) for w in expected]
+        assert sorted(words, key=length.__getitem__) == [str(w) for w in expected]
 
 
 def test_ladder_cli(tmp_path):
@@ -275,16 +285,43 @@ def test_ladder_shards_over_workers(tmp_path, monkeypatch):
     assert artifacts[0] == artifacts[1]
 
 
-def test_dump_spectra_with_workers_rejected(tmp_path):
-    cfg = Path(__file__).resolve().parents[1] / "configs" / "census_box_complex.json"
+def test_dump_spectra_independent_of_workers(tmp_path):
+    # the dump is one unsharded stream, written after the census, so every
+    # artifact is byte-identical at any --workers value
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    box = json.loads((configs / "census_box_complex.json").read_text())
+    tube = {
+        "representation": TWO_FACTOR,
+        "region": {"type": "tube", "direction": [0.6, 0.8], "epsilon": 1.1},
+        "t_grid": {"t_min": 3.013, "t_max": 26.0, "step": 0.7},
+    }
+    for command, doc in [("census-cartan", tube), ("census-jordan", tube), ("census-box", box)]:
+        cfg = write_config(tmp_path, f"{command}.json", dict(doc, kind=command, L_max=9))
+        artifacts = []
+        for workers in (1, 2):
+            out = tmp_path / f"{command}-{workers}"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                             "--workers", str(workers), "--dump-spectra"]) == 0
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir() if p.suffix in (".csv", ".dat")})
+        assert "spectra.csv" in artifacts[0] and artifacts[1] == artifacts[0], command
+    assert "holonomy.csv" in artifacts[0]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("ladder", {"representation": TWO_FACTOR, "direction": "auto", "source": "cartan-tube",
+                "epsilons": [1.1], "L_max": 10_000}),
+    ("census-box", {"representation": TWO_FACTOR, "direction": "auto", "L_probe": 10_000,
+                    "widths": [1.0, 1.0], "L_max": 5}),
+], ids=["ladder", "probe"])
+def test_far_over_budget_is_capacity_exceeded(tmp_path, command, doc):
+    # the ball's word count has more digits than Python formats; the run
+    # still fails with the budget's own error
+    doc = dict(doc, t_grid={"t_min": 3.013, "t_max": 26.0, "step": 0.7})
+    cfg = write_config(tmp_path, "big.json", doc)
     out = tmp_path / "out"
-    res = run_cli("census-box", "--config", str(cfg), "--out", str(out), "--dump-spectra",
-                  "--workers", "2")
-    assert res.returncode == 1
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
     record = json.loads((out / "error.json").read_text())
-    assert record["code"] == "reps.SchemaError"
-    assert "--dump-spectra" in record["message"] and "--workers" in record["message"]
-    assert not (out / "spectra.csv").exists()
+    assert record["code"] == "group.CapacityExceeded", record
 
 
 def test_dump_spectra_only_on_census_subcommands(tmp_path):

@@ -62,6 +62,14 @@ def test_capacity_exceeded(monkeypatch):
         next(gr.enumerate_reduced_words(2, 45))
     with pytest.raises(gr.CapacityExceeded, match="int64"):
         next(gr.enumerate_conjugacy_classes(2, 45))
+    # far beyond the budget the message names the budget, not a word count
+    # of thousands of digits, which Python refuses to format
+    monkeypatch.delenv("SPECTRA_CENSUS_MAX_WORDS")
+    for max_len in (10_000, 10**6):
+        with pytest.raises(gr.CapacityExceeded, match=f"more than {gr.DEFAULT_BUDGET} words"):
+            next(gr.enumerate_reduced_words(2, max_len))
+        with pytest.raises(gr.CapacityExceeded, match=f"more than {gr.DEFAULT_BUDGET} words"):
+            next(gr.enumerate_conjugacy_classes(2, max_len))
 
 
 def test_cyclic_reduce_examples():

@@ -214,11 +214,8 @@ def test_cartan_path_decodes_no_word(monkeypatch, two_factor_rep):
     ladder = fitting.growth_indicator_ladder(two_factor_rep, v, [1.6, 1.1], grid, 7, "cartan-tube")
     assert ladder.c_min_hat == series.c_min_hat
     assert cn.completeness_horizon(two_factor_rep, 7, "cartan")[1] == series.c_min_hat
-    # a sink reads the letters the walk carries, and sees every word
-    rows = []
-    sunk = cn.census_cartan(two_factor_rep, cn.TubeBallFamily(rg.TubeSpec(v, 1.3)), grid, 7,
-                            spectra_sink=lambda letters, X, holos: rows.append((letters, X)))
-    assert sunk == series
+    # the word stream reads the letters the walk carries, and sees every word
+    rows = list(cn.iter_word_chunks(two_factor_rep, 7))
     assert sum(len(letters) for letters, _ in rows) == gr.total_words(2, 7)
     images = cn._factor_images(two_factor_rep)
     for letters, X in rows:
@@ -260,11 +257,12 @@ def test_cartan_walk_folds_in_blocks(monkeypatch, real_pair):
     monkeypatch.setattr(cn, "_extend", counted)
     grid = np.arange(2.0, 24.0, 0.61) + 0.017
     family = cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0]), 1.3))
-    # the census prunes its walk; a spectra sink reads every word, so the
+    # the census prunes its walk; the word stream reads every word, so the
     # second walk folds the whole tree
-    for sink in (None, lambda letters, X, holos: None):
+    for walk in (lambda: cn.census_cartan(real_pair, family, grid, 11),
+                 lambda: list(cn.iter_word_chunks(real_pair, 11))):
         seen.clear()
-        cn.census_cartan(real_pair, family, grid, 11, spectra_sink=sink)
+        walk()
         assert max(seen) <= cn.BLOCK
     assert sum(seen) > gr.stratum_size(2, 11)
 

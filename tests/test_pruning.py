@@ -309,15 +309,13 @@ def test_pruned_jordan_horizon_equals_unpruned(request, monkeypatch, rep_name):
     assert cn.completeness_horizon(rep, 9, "jordan") == runs[0][0]
 
 
-def test_sink_and_dependence_probe_see_every_class(two_factor_rep):
+def test_class_stream_and_dependence_probe_see_every_class(two_factor_rep):
     total = _classes(8)
     family = _class_families(2)["tube"]
     grid = np.arange(3.0, 27.0, 0.7) + 0.013
-    seen = []
     profile = {}
-    with_sink = cn.census_jordan(two_factor_rep, family, grid, 8, spectra_sink=lambda l, X, h: seen.append(len(X)))
-    pruned = cn.census_jordan(two_factor_rep, family, grid, 8, profile=profile)
-    assert sum(seen) == total and with_sink == pruned
+    cn.census_jordan(two_factor_rep, family, grid, 8, profile=profile)
+    assert sum(len(X) for _, X, *_ in cn.iter_class_chunks(two_factor_rep, 8)) == total
     assert profile["class_leaves"] < total
     assert rp.detect_dependence(two_factor_rep, 8).n_classes == total
 
@@ -355,8 +353,8 @@ def test_tally_skips_empty_chunks(two_factor_rep):
     grid = np.arange(2.0, 24.0, 0.61) + 0.017
     chunks = list(cn._stream(two_factor_rep, 6))
     empty = (np.empty((0, 7), dtype=np.int8), np.empty((0, 2)), None, None, 0)
-    want = cn._tally(two_factor_rep, iter(chunks), (family,), grid, False, None, None)
-    got = cn._tally(two_factor_rep, iter([empty] + chunks + [empty]), (family,), grid, False, None, None)
+    want = cn._tally(two_factor_rep, iter(chunks), (family,), grid, False, None)
+    got = cn._tally(two_factor_rep, iter([empty] + chunks + [empty]), (family,), grid, False, None)
     assert np.array_equal(got.counts, want.counts) and got.c_min == want.c_min
     assert got.leaves == want.leaves == gr.total_words(2, 6)
 
@@ -453,12 +451,12 @@ def test_manifest_profile_block(tmp_path):
     rep = cli.parse_representation(doc["representation"], tmp_path)
     assert profile["defect_constants"] == [rp.defect_constant(f) for f in rep.factors]
     assert 0 < profile["cartan_leaves"] < gr.total_words(2, 9)
-    # a dump walks every word; a Jordan census walks classes, not words
-    assert _cli_run(tmp_path, "cc", doc, dump=True)[1]["profile"]["cartan_leaves"] == gr.total_words(2, 9)
+    # a dump run's census is pruned like any other; a Jordan census walks
+    # classes, not words
+    assert _cli_run(tmp_path, "cc", doc, dump=True)[1]["profile"] == profile
     jordan = dict(doc, kind="census-jordan")
     profiles = [_cli_run(tmp_path, "cj", jordan, workers=w)[1]["profile"] for w in (1, 2)]
     assert profiles[1] == profiles[0] and "cartan_leaves" not in profiles[0]
     assert profiles[0]["defect_constants"] == profile["defect_constants"]
     assert 0 < profiles[0]["class_leaves"] < _classes(9)
-    dumped = _cli_run(tmp_path, "cj", jordan, dump=True)[1]["profile"]
-    assert dumped["class_leaves"] == _classes(9)
+    assert _cli_run(tmp_path, "cj", jordan, dump=True)[1]["profile"] == profiles[0]
