@@ -50,9 +50,12 @@ cyclically_reduced_mask, canonical_mask and periods are its test oracles.
 A census drops the subtrees that no grid point can count and that cannot
 lower the minimal stretch per letter (_Pruning), by the certified
 per-letter-pair defect tables of reps.defect_table and each family's
-reach.  A truncated tube (which has no reach) and the dependence probe
-walk everything, and so do iter_word_chunks and iter_class_chunks, the
-streams that the CLI's --dump-spectra writes out after the census.
+reach.  That bound is its only filter: every word or class the walk
+reaches is evaluated and handed to the families, which count nothing
+beyond their reach.  A truncated tube (which has no reach) and the
+dependence probe walk everything, and so do iter_word_chunks and
+iter_class_chunks, the streams that the CLI's --dump-spectra writes out
+after the census.
 """
 
 from __future__ import annotations
@@ -426,18 +429,17 @@ def _factor_images(rep: Representation):
 
 
 def _stream(rep, L_max: int, shard=None, bound=None, classes: bool = False, images=None):
-    """Yields (letters, X (m,d), holos (m,d) or None, primitive (m,) or None,
-    leaves), one per block of _walk: the Cartan vectors X of the reduced
-    words of length 1..L_max, or with classes the Jordan vectors, holonomy
-    angles and primitivity of the canonical necklaces, one per conjugacy
-    class.  leaves counts the vectors evaluated.
+    """Yields (letters, X (m,d), holos (m,d) or None, primitive (m,) or None),
+    one per block of _walk, never an empty one: the Cartan vectors X of the
+    reduced words of length 1..L_max, or with classes the Jordan vectors,
+    holonomy angles and primitivity of the canonical necklaces, one per
+    conjugacy class.
 
     bound, when given, is the _Pruning of the families the blocks are
     counted for, built for this L_max and this kind of walk: the walk is
-    pruned by it, and a block of words keeps only those that some family
-    may count or that may lower the minimal stretch per letter.  Otherwise
-    every word or class is yielded.  shard, when given, is a pair (w,
-    workers) from _shards; the default covers everything.  images, when
+    pruned by it, and each block is yielded whole, as the walk folded it.
+    Otherwise every word or class is yielded.  shard, when given, is a pair
+    (w, workers) from _shards; the default covers everything.  images, when
     given, is _factor_images(rep).
     """
     _check_budget(rep.k, L_max)
@@ -448,15 +450,14 @@ def _stream(rep, L_max: int, shard=None, bound=None, classes: bool = False, imag
         if not classes:
             for i, (P, S) in enumerate(evals):
                 X[:, i] = cartan_chunk(P, S)
-            keep = slice(None) if bound is None else bound.kept(X, letters.shape[1])
-            yield letters[keep], X[keep], None, None, len(X)
+            yield letters, X, None, None
             continue
         holos = np.full(X.shape, np.nan) if any(is_complex) else None
         for i, (P, S) in enumerate(evals):
             X[:, i], h = jordan_chunk(P, S, is_complex[i])
             if h is not None:
                 holos[:, i] = h
-        yield letters, X, holos, period == letters.shape[1], len(X)
+        yield letters, X, holos, period == letters.shape[1]
 
 
 def iter_word_chunks(rep, L_max: int):
@@ -475,8 +476,7 @@ def iter_class_chunks(rep, L_max: int, shard=None):
     in word-index order; lengths interleave in walk order.  shard is as in
     _stream.
     """
-    for letters, lam, holos, primitive, _ in _stream(rep, L_max, shard, classes=True):
-        yield letters, lam, holos, primitive
+    yield from _stream(rep, L_max, shard, classes=True)
 
 
 def _gate_validated(rep: Representation, force: bool):
@@ -543,11 +543,13 @@ class _Pruning:
     rounding of the bound.
 
     Internal nodes are tested with h = log(||P||_F^2 / 2) <= mu, which saves
-    cartan_chunk's three transcendental steps, and Cartan leaves by their
-    own mu, with no defect term; the class walk evaluates every necklace it
-    reaches.  m_ib(r) is the exact minimum for r <= EXACT (8,748 words of
-    length 8 at k = 2), from one unpruned walk to depth EXACT (or L_max - 1)
-    that _census runs once, before any shard forks, extended by
+    cartan_chunk's three transcendental steps.  Leaves are not tested: the
+    walk evaluates every word or necklace it reaches, and a leaf out of
+    reach by its own vector has norm above n c1 >= n c_min_hat and lies
+    beyond every family's reach, so it moves no count and no c_min_hat.
+    m_ib(r) is the exact minimum for r <= EXACT (8,748 words of length 8 at
+    k = 2), from one unpruned walk to depth EXACT (or L_max - 1) that
+    _census runs once, before any shard forks, extended by
     m_ib(x + y) >= m_ib(x) + m_i(y) - C_i beyond, m_i the minimum over the
     first letters and C_i the largest entry of the table; c1 comes from the
     generator images alone.
@@ -611,14 +613,6 @@ class _Pruning:
         first and last are the nodes' first and last letters; a Cartan bound
         reads only last.  A node is dropped when, for every n in lengths,
         the words (or necklaces) of length n below it are out of reach."""
-        # no entry of a walk's P exceeds 2 in modulus (RenormMatrix, _extend),
-        # so h <= 2S + 3 log 2: a block that this leaves in reach at some
-        # length is kept without a test per row
-        top = np.array([2.0 * float(S.max()) + 3.0 * LN2 for _, S in evals])
-        if self.entry is not None:
-            top -= self.entry.min(axis=0)
-        if not all(self.beyond(np.maximum(top + self.slack[n - j].max(axis=0), 0.0), n) for n in lengths):
-            return None
         h = [_cartan_floor(P, S) for P, S in evals]
         if self.entry is not None:
             h = [x - self.entry[:, i].take(first) for i, x in enumerate(h)]
@@ -629,14 +623,6 @@ class _Pruning:
             if not drop.any():
                 return None
         return ~drop
-
-    def kept(self, mu: np.ndarray, n: int):
-        """The leaves of stratum n, mu (m, d) their Cartan vectors, that
-        some family may count or that may lower the minimal stretch: a
-        mask, or a slice of every row."""
-        if not self.beyond(mu.max(axis=0).tolist(), n):
-            return slice(None)
-        return ~self.beyond(mu.T, n)
 
 
 def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
@@ -653,12 +639,12 @@ def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
 def _tally(rep, chunks, families, grid, primitive_only, edges) -> _Partial:
     """The one chunk loop behind every census, horizon and ladder.
 
-    chunks yields _stream's (letters, X, holos or None, primitive or None,
-    leaves).  Per chunk it adds the leaves, folds the minimal stretch per
-    letter into c_min, adds each family's count_grid into its block of
-    counts (one row, or family.rows), and, when sector edges are given,
-    bins the holonomy of the rows inside the first family's window per
-    grid time.
+    chunks yields _stream's nonempty (letters, X, holos or None, primitive
+    or None).  Per chunk it adds len(X) to the leaves, folds the minimal
+    stretch per letter into c_min, adds each family's count_grid into its
+    block of counts (one row, or family.rows), and, when sector edges are
+    given, adds per complex factor and holonomy sector the first family's
+    count_grid of that sector's rows.
     """
     spans = np.cumsum([0] + [getattr(f, "rows", 1) for f in families])
     counts = np.zeros((spans[-1], grid.size), dtype=np.int64)
@@ -666,30 +652,19 @@ def _tally(rep, chunks, families, grid, primitive_only, edges) -> _Partial:
     c_min = math.inf
     leaves = 0
     complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
-    for letters, X, holos, primitive, evaluated in chunks:
-        leaves += evaluated
-        if not len(X):  # a chunk the bound pruned to nothing
-            continue
+    for letters, X, holos, primitive in chunks:
+        leaves += len(X)
         norms = np.sqrt(_row_sq_sum(X))
         c_min = min(c_min, float(np.min(norms / letters.shape[1])))
         keep = primitive if primitive_only else slice(None)
         rows = X[keep]
         for start, stop, family in zip(spans, spans[1:], families):
             counts[start:stop] += family.count_grid(rows, grid)
-        if hist is not None and complex_factors and rows.size:
-            # a row is in the window at the grid points [i0, i1): +1 at i0,
-            # -1 at i1, summed down the grid axis
-            lo, hi = families[0].window(rows)
-            ok = lo <= hi
-            i0, i1 = np.searchsorted(grid, lo[ok], "left"), np.searchsorted(grid, hi[ok], "right")
-            bins = len(edges) - 1
-            size = (grid.size + 1) * bins
+        if hist is not None:
             for i in complex_factors:
-                sector = np.searchsorted(edges, holos[keep][ok, i], side="right") - 1
-                sector = np.clip(sector, 0, bins - 1)
-                step = np.bincount(i0 * bins + sector, minlength=size)
-                step -= np.bincount(i1 * bins + sector, minlength=size)
-                hist[i] += np.cumsum(step.reshape(grid.size + 1, bins), axis=0)[:-1]
+                sector = np.clip(np.searchsorted(edges, holos[keep, i], side="right") - 1, 0, len(edges) - 2)
+                for s in range(len(edges) - 1):
+                    hist[i, :, s] += families[0].count_grid(rows[sector == s], grid)
     return _Partial(counts, c_min, hist, leaves)
 
 

@@ -29,6 +29,7 @@ from .reps import SchemaError
 
 F17 = ".17g"
 F15 = ".15g"
+MAX_GRID = 10**6  # T-grid points a config may ask for
 
 
 class IoError(SpectraCensusError):
@@ -129,8 +130,10 @@ def parse_grid(doc) -> np.ndarray:
         raise SchemaError("'t_grid' needs numeric t_min, t_max, step") from None
     if step <= 0 or t_max <= t_min:
         raise SchemaError("'t_grid' needs step > 0 and t_max > t_min")
-    n = int(math.floor((t_max - t_min) / step + 1e-9)) + 1
-    return t_min + step * np.arange(n)
+    span = (t_max - t_min) / step + 1e-9  # inf when it overflows a float
+    if not span < MAX_GRID:  # refused before any allocation
+        raise SchemaError(f"'t_grid' needs more than {MAX_GRID} points")
+    return t_min + step * np.arange(int(math.floor(span)) + 1)
 
 
 def parse_region(doc, d: int):

@@ -122,9 +122,13 @@ def _check_budget(k: int, max_len: int):
     census walk addresses no word by index; the int64 check keeps a lifted
     budget inside the word indices of census.decode_words, the test oracle
     that does.  The strata are summed only until they pass the budget, so
-    a huge max_len costs a few strata, not a number too long to print."""
+    a huge max_len costs a few strata, not a number too long to print.  A
+    budget that is not a decimal integer is CapacityExceeded too."""
     env = os.environ.get(ENV_BUDGET)
-    limit = int(env) if env else DEFAULT_BUDGET
+    try:
+        limit = int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise CapacityExceeded(f"{ENV_BUDGET}={env!r} is not an integer word budget") from None
     projected = 0
     for n in range(1, max_len + 1):
         projected += stratum_size(k, n)

@@ -215,8 +215,8 @@ def test_holonomy_sectors_partition(complex_pair):
 
 
 def _per_grid_holonomy_bins(lo, hi, holos, grid, edges, complex_factors, d):
-    """The holonomy binning _tally did before its one pass: one mask and one
-    bincount per grid point and complex factor."""
+    """The holonomy bins by brute force: one mask and one bincount per grid
+    point and complex factor."""
     hist = np.zeros((d, grid.size, len(edges) - 1), dtype=np.int64)
     for ti, t in enumerate(grid):
         mask = (lo <= t) & (t <= hi)
@@ -229,14 +229,14 @@ def _per_grid_holonomy_bins(lo, hi, holos, grid, edges, complex_factors, d):
     return hist
 
 
-class _Window:
-    """A family whose window per row is its first two coordinates."""
+class _Window(cn.BoxWindowFamily):
+    """A box whose window per row is its first two coordinates."""
+
+    def __init__(self):
+        super().__init__([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
 
     def window(self, X):
         return X[:, 0], X[:, 1]
-
-    def count_grid(self, X, grid):
-        return np.zeros((1, grid.size), dtype=np.int64)
 
 
 @pytest.mark.parametrize("primitive_only", [False, True])
@@ -260,7 +260,7 @@ def test_holonomy_bins_match_per_grid_loop(primitive_only):
         holos[:3, 0] = [0.0, 0.4, math.pi]
         primitive = rng.random(m) < 0.7
         X = np.column_stack([lo, hi, rng.uniform(1.0, 2.0, m)])
-        chunks.append((np.zeros((m, 3), dtype=np.int8), X, holos, primitive, m))
+        chunks.append((np.zeros((m, 3), dtype=np.int8), X, holos, primitive))
         keep = primitive if primitive_only else slice(None)
         want = want + _per_grid_holonomy_bins(lo[keep], hi[keep], holos[keep], grid, edges, [0, 2], 3)
     part = cn._tally(rep, iter(chunks), [_Window()], grid, primitive_only, edges)

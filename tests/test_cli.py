@@ -324,6 +324,36 @@ def test_far_over_budget_is_capacity_exceeded(tmp_path, command, doc):
     assert record["code"] == "group.CapacityExceeded", record
 
 
+def test_budget_not_an_integer_is_capacity_exceeded(tmp_path, monkeypatch):
+    # a valid config under a budget that is not an integer: the error names
+    # the variable, where it used to blame the config
+    monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", "1e9")
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "ratio_tube.json"
+    out = tmp_path / "out"
+    assert cli.main(["ratio", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "group.CapacityExceeded", record
+    assert "SPECTRA_CENSUS_MAX_WORDS='1e9'" in record["message"]
+
+
+@pytest.mark.parametrize("grid", [
+    {"t_min": 1, "t_max": 1e6, "step": 1e-9},
+    {"t_min": -1e308, "t_max": 1e308, "step": 1.0},
+    {"t_min": 0.0, "t_max": 1e6, "step": 1.0},
+], ids=["fine", "overflow", "one-past"])
+def test_huge_grid_is_schema_error(tmp_path, grid):
+    # refused before the grid is allocated, with an error.json
+    doc = {"representation": TWO_FACTOR, "region": {"type": "tube", "direction": [1.0, 1.4],
+           "epsilon": 1.3}, "t_grid": grid, "L_max": 4}
+    cfg = write_config(tmp_path, "grid.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["census-cartan", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.SchemaError", record
+    assert "more than 1000000 points" in record["message"]
+    assert cli.parse_grid({"t_min": 0.0, "t_max": 999_999.0, "step": 1.0}).size == cli.MAX_GRID
+
+
 def test_dump_spectra_only_on_census_subcommands(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,13 @@ def test_capacity_exceeded(monkeypatch):
             next(gr.enumerate_reduced_words(2, max_len))
         with pytest.raises(gr.CapacityExceeded, match=f"more than {gr.DEFAULT_BUDGET} words"):
             next(gr.enumerate_conjugacy_classes(2, max_len))
+    # a budget that is not an integer is the variable's fault, and named so
+    for value in ("1e9", "10**8", "lots", " "):
+        monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", value)
+        with pytest.raises(gr.CapacityExceeded, match=re.escape(f"SPECTRA_CENSUS_MAX_WORDS={value!r}")):
+            next(gr.enumerate_reduced_words(2, 3))
+    monkeypatch.setenv("SPECTRA_CENSUS_MAX_WORDS", " 1000 ")
+    assert len(list(gr.enumerate_reduced_words(2, 3))) == gr.total_words(2, 3)
 
 
 def test_cyclic_reduce_examples():

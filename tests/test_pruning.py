@@ -335,28 +335,16 @@ def test_box_reach_is_the_far_corner():
 
 
 def test_block_pruned_to_nothing_is_not_yielded(monkeypatch, two_factor_rep):
-    # a coordinate ray and runs of two nodes: some blocks lose every leaf to
-    # the leaf filter though a deeper word below them is in reach, and
-    # _tally must step over their empty chunks; the walk yields no empty block
+    # a coordinate ray and runs of two nodes: the pruned walk yields no empty
+    # block, so neither does the stream, whose chunks _tally reads unchecked
     monkeypatch.setattr(cn, "BLOCK", 6)
     images = cn._factor_images(two_factor_rep)
     reach = ((cn.CoordinateRayFamily(0, 2),), np.array([15.0]))
     bound = cn._Pruning.of(two_factor_rep, *reach, 9, images)
-    chunks = list(cn._stream(two_factor_rep, 9, bound=bound))
-    assert any(len(mu) == 0 and leaves > 0 for _, mu, _, _, leaves in chunks)
     blocks = list(cn._walk(2, 9, images, bound=bound))
     assert all(evals[0][1].size > 0 for _, _, evals in blocks)
-
-
-def test_tally_skips_empty_chunks(two_factor_rep):
-    family = cn.TubeBallFamily(rg.TubeSpec(rg.unit([1.0, 1.4]), 1.3))
-    grid = np.arange(2.0, 24.0, 0.61) + 0.017
-    chunks = list(cn._stream(two_factor_rep, 6))
-    empty = (np.empty((0, 7), dtype=np.int8), np.empty((0, 2)), None, None, 0)
-    want = cn._tally(two_factor_rep, iter(chunks), (family,), grid, False, None)
-    got = cn._tally(two_factor_rep, iter([empty] + chunks + [empty]), (family,), grid, False, None)
-    assert np.array_equal(got.counts, want.counts) and got.c_min == want.c_min
-    assert got.leaves == want.leaves == gr.total_words(2, 6)
+    chunks = list(cn._stream(two_factor_rep, 9, bound=bound))
+    assert len(chunks) == len(blocks) and all(len(letters) and len(mu) for letters, mu, _, _ in chunks)
 
 
 def test_pruning_minima_equal_decoded_strata(mixed_pair):
