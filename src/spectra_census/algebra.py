@@ -172,31 +172,32 @@ def _dominant_eigenvalue(g: RenormMatrix) -> complex:
     return 0.5 * lam
 
 
-def _loxodromy_gate(g: RenormMatrix, tol: float):
-    """(passes, dominant eigenvalue of `entries` or None when trivially elliptic)."""
+def _loxodromy_gate(g: RenormMatrix):
+    """(passes, dominant eigenvalue of `entries` or None when trivially elliptic),
+    at the tolerance DEFAULT_TOL that census.jordan_chunk also reads."""
     if g.field == REAL:
         t = abs(g.entries[0, 0] + g.entries[1, 1])
-        if t == 0.0 or g.log_scale + math.log(t) <= math.log(2.0 + tol):
+        if t == 0.0 or g.log_scale + math.log(t) <= math.log(2.0 + DEFAULT_TOL):
             return False, None
         det = math.exp(-2.0 * g.log_scale)
         return True, 0.5 * (t + math.sqrt(t * t - 4.0 * det))
     lam = _dominant_eigenvalue(g)
     mod = abs(lam)
-    if mod == 0.0 or g.log_scale + math.log(mod) <= math.log(1.0 + tol):
+    if mod == 0.0 or g.log_scale + math.log(mod) <= math.log(1.0 + DEFAULT_TOL):
         return False, lam
     return True, lam
 
 
-def is_loxodromic(g: RenormMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """Real field: |tr| > 2 + tol; complex field: dominant |eigenvalue| > 1 + tol."""
-    return _loxodromy_gate(g, tol)[0]
+def is_loxodromic(g: RenormMatrix) -> bool:
+    """Real field: |tr| > 2 + DEFAULT_TOL; complex field: dominant |eigenvalue| > 1 + DEFAULT_TOL."""
+    return _loxodromy_gate(g)[0]
 
 
-def jordan_length(g: RenormMatrix, tol: float = DEFAULT_TOL) -> float:
+def jordan_length(g: RenormMatrix) -> float:
     """Translation length: twice the log modulus of the dominant eigenvalue."""
-    ok, lam = _loxodromy_gate(g, tol)
+    ok, lam = _loxodromy_gate(g)
     if not ok:
-        raise NonLoxodromic("element is not loxodromic at tolerance %g" % tol)
+        raise NonLoxodromic("element is not loxodromic at tolerance %g" % DEFAULT_TOL)
     return 2.0 * (g.log_scale + math.log(abs(lam)))
 
 
@@ -218,13 +219,13 @@ def cartan_length(g: RenormMatrix) -> float:
     return h + math.log1p(math.sqrt(-math.expm1(-2.0 * h)))
 
 
-def holonomy_angle(g: RenormMatrix, tol: float = DEFAULT_TOL) -> float:
+def holonomy_angle(g: RenormMatrix) -> float:
     """Rotation angle of a complex loxodromic element, reduced mod pi to [0, pi)."""
     if g.field != COMPLEX:
         raise RealFactor("holonomy is only defined for complex factors")
-    ok, lam = _loxodromy_gate(g, tol)
+    ok, lam = _loxodromy_gate(g)
     if not ok:
-        raise NonLoxodromic("element is not loxodromic at tolerance %g" % tol)
+        raise NonLoxodromic("element is not loxodromic at tolerance %g" % DEFAULT_TOL)
     return cmath.phase(lam) % math.pi
 
 
@@ -238,10 +239,10 @@ class Loxodata:
     trace_abs: float
 
 
-def loxodata(g: RenormMatrix, tol: float = DEFAULT_TOL) -> Loxodata:
-    jordan = jordan_length(g, tol)
+def loxodata(g: RenormMatrix) -> Loxodata:
+    jordan = jordan_length(g)
     cartan = cartan_length(g)
-    holonomy = holonomy_angle(g, tol) if g.field == COMPLEX else None
+    holonomy = holonomy_angle(g) if g.field == COMPLEX else None
     t = abs(g.trace_entries())
     trace_abs = 0.0 if t == 0.0 else _safe_exp(g.log_scale + math.log(t))
     return Loxodata(jordan, cartan, holonomy, trace_abs)

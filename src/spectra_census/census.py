@@ -31,9 +31,10 @@ of its letters through one renormalized step (_extend): the same floats in
 the same order whichever block or shard computes its prefixes, whether
 word by word (evaluate_chunk) or down the tree.  Counts are therefore
 bit-identical for any block size and any number of worker shards, and
-shard merges are plain integer sums.  Shards deal the subtrees below a
-fixed depth round the workers: the calling process forks a child for
-each shard but shard 0, walks shard 0 itself, and merges the partial
+shard merges are plain integer sums.  A shard is always a pair
+(w, workers), and (0, 1) is the whole walk.  Shards deal the subtrees
+below a fixed depth round the workers: the calling process forks a child
+for each shard but shard 0, walks shard 0 itself, and merges the partial
 counts the children pipe back.  The fold keeps each 2x2 in
 struct-of-arrays form, a 4-tuple (p00, p01, p10, p11) of contiguous 1-d
 arrays, for words and necklaces, real and complex alike.
@@ -46,6 +47,8 @@ last level's necklaces only, so its cost scales with the classes rather
 than the words.  Within a length either stream comes in word-index
 order, and the lengths interleave.  decode_words, evaluate_chunk,
 cyclically_reduced_mask, canonical_mask and periods are its test oracles.
+jordan_chunk gates loxodromy at algebra.DEFAULT_TOL, the one tolerance
+of its scalar references, reps.lambda_vector and algebra.jordan_length.
 
 A census drops the subtrees that no grid point can count and that cannot
 lower the minimal stretch per letter (_Pruning), by the certified
@@ -66,7 +69,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,7 +108,8 @@ class InsufficientData(SpectraCensusError):
 
 
 class WorkerCrashed(SpectraCensusError):
-    """A shard worker process died before returning its partial counts."""
+    """A shard worker process could not start or died before returning its
+    partial counts."""
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,7 @@ def evaluate_chunk(letters: np.ndarray, images, logs: np.ndarray):
     return P, S
 
 
-def _walk(k: int, L_max: int, factors, shard=None, bound=None, classes: bool = False):
+def _walk(k: int, L_max: int, factors, shard=(0, 1), bound=None, classes: bool = False):
     """(letters (m, t) int8, period (m,) or None, one (P, S) per factor) of
     the nodes of each depth t = 1..L_max of the prefix tree of the reduced
     words, from one depth-first walk that folds each node once, for every
@@ -289,8 +293,9 @@ def _walk(k: int, L_max: int, factors, shard=None, bound=None, classes: bool = F
     in again, while a block's temporaries are reused from the heap, once
     the walk has raised glibc's trim threshold (below).  shard
     (w, workers) deals the nodes of depth min(5, max(2, L_max)) round the
-    workers, and only shard 0 yields the shallower nodes (all of them at
-    L_max 1).
+    workers, so each gets the same number give or take one, and only shard
+    0 yields the shallower nodes (all of them at L_max 1); the default
+    (0, 1) is the whole walk.
 
     classes keeps only prenecklaces, with their FKM state p, the period of
     the longest Lyndon prefix (Cattell, Ruskey, Sawada, Serra and Miers, J.
@@ -312,7 +317,7 @@ def _walk(k: int, L_max: int, factors, shard=None, bound=None, classes: bool = F
     np.empty(1 << 20, dtype=np.uint8)
     table = _letter_table(k).astype(np.intp)
     base = 2 * k - 1
-    w, workers = (0, 1) if shard is None else shard
+    w, workers = shard
     deal = min(5, max(2, L_max))
     dealt = 0  # nodes of depth deal seen so far, in index order
 
@@ -374,8 +379,11 @@ def _walk(k: int, L_max: int, factors, shard=None, bound=None, classes: bool = F
     yield from descend(1, *pruned(1, letters, p, evals))
 
 
-def jordan_chunk(P, S: np.ndarray, is_complex: bool, tol: float = algebra.DEFAULT_TOL):
-    """(lengths, holonomy angles or None); raises NonLoxodromic on any failure."""
+def jordan_chunk(P, S: np.ndarray, is_complex: bool):
+    """(lengths, holonomy angles or None); raises NonLoxodromic on any failure
+    of the loxodromy gate, at the scalar references' tolerance
+    algebra.DEFAULT_TOL."""
+    tol = algebra.DEFAULT_TOL
     t = P[0] + P[3]
     det = np.exp(-2.0 * S)
     if is_complex:
@@ -428,7 +436,7 @@ def _factor_images(rep: Representation):
     return out
 
 
-def _stream(rep, L_max: int, shard=None, bound=None, classes: bool = False, images=None):
+def _stream(rep, L_max: int, shard=(0, 1), bound=None, classes: bool = False, images=None):
     """Yields (letters, X (m,d), holos (m,d) or None, primitive (m,) or None),
     one per block of _walk, never an empty one: the Cartan vectors X of the
     reduced words of length 1..L_max, or with classes the Jordan vectors,
@@ -438,9 +446,9 @@ def _stream(rep, L_max: int, shard=None, bound=None, classes: bool = False, imag
     bound, when given, is the _Pruning of the families the blocks are
     counted for, built for this L_max and this kind of walk: the walk is
     pruned by it, and each block is yielded whole, as the walk folded it.
-    Otherwise every word or class is yielded.  shard, when given, is a pair
-    (w, workers) from _shards; the default covers everything.  images, when
-    given, is _factor_images(rep).
+    Otherwise every word or class is yielded.  shard is the pair
+    (w, workers) of _walk, the whole walk by default.  images, when given,
+    is _factor_images(rep).
     """
     _check_budget(rep.k, L_max)
     is_complex = [f.field == algebra.COMPLEX for f in rep.factors]
@@ -468,15 +476,14 @@ def iter_word_chunks(rep, L_max: int):
         yield letters, mu
 
 
-def iter_class_chunks(rep, L_max: int, shard=None):
+def iter_class_chunks(rep, L_max: int):
     """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
     canonical necklaces of core length 1..L_max, one per conjugacy class.
 
     Each chunk holds the necklaces of one length from one run of the walk,
-    in word-index order; lengths interleave in walk order.  shard is as in
-    _stream.
+    in word-index order; lengths interleave in walk order.
     """
-    yield from _stream(rep, L_max, shard, classes=True)
+    yield from _stream(rep, L_max, classes=True)
 
 
 def _gate_validated(rep: Representation, force: bool):
@@ -625,17 +632,6 @@ class _Pruning:
         return ~drop
 
 
-def _shards(workers: int) -> List[Optional[Tuple[int, int]]]:
-    """One (w, workers) per worker: the walk's subtrees below depth
-    min(5, max(2, L_max)) are dealt round the workers, so each gets the
-    same number give or take one."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        return [None]
-    return [(w, workers) for w in range(workers)]
-
-
 def _tally(rep, chunks, families, grid, primitive_only, edges) -> _Partial:
     """The one chunk loop behind every census, horizon and ladder.
 
@@ -705,34 +701,43 @@ def _serve(task: Callable, shard, fd: int):
 
 
 def _run_sharded(task: Callable, workers: int) -> _Partial:
-    """task(shard) over every shard of _shards(workers), merged: counts,
-    histograms and leaves summed, c_min the least.
+    """task(shard) over the shards (w, workers), w = 0..workers-1, of the
+    walk, merged: counts, histograms and leaves summed, c_min the least.
 
-    One worker runs in this process and never forks.  With more, the
-    process forks one child per shard 1..workers-1, walks shard 0 itself
-    while they run, then reads each child's pipe and reaps it: a child
-    pickles its _Partial, or the exception its shard raised, which is raised
-    again here with its own type, and a child that exits without a whole
-    result is WorkerCrashed.  If this process's own shard raises or is
-    interrupted, the children it forked are killed and reaped.  Forking
-    needs POSIX os.fork; without it workers above 1 are a ValueError.
+    One worker runs task((0, 1)) in this process and never forks.  With
+    more, the process forks one child per shard 1..workers-1, walks shard 0
+    itself while they run, then reads each child's pipe and reaps it: a
+    child pickles its _Partial, or the exception its shard raised, which is
+    raised again here with its own type, and a child that exits without a
+    whole result is WorkerCrashed, as is a pipe or fork the system refuses
+    (EMFILE at the descriptor limit, EAGAIN at the process limit).  If this
+    process's own shard raises or is interrupted, or a fork fails, the
+    children it forked are killed and reaped.  Forking needs POSIX os.fork;
+    without it workers above 1 are a ValueError, as is workers below 1.
     """
-    shards = _shards(workers)
-    if len(shards) == 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    shards = [(w, workers) for w in range(workers)]
+    if workers == 1:
         return task(shards[0])
     if not hasattr(os, "fork"):
         raise ValueError(f"workers={workers} needs os.fork, which this platform lacks")
     pids, pipes = [], []  # the children not yet reaped, and their read ends
     try:
         for shard in shards[1:]:
-            r, w = os.pipe()
-            pipes.append(r)
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _serve(task, shard, w)
-            finally:
-                os.close(w)
+                r, w = os.pipe()
+                pipes.append(r)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(task, shard, w)
+                finally:
+                    os.close(w)
+            except OSError as exc:
+                raise WorkerCrashed(
+                    f"could not start the census worker for shard {shard[0]}: {exc}"
+                ) from None
             pids.append(pid)
         parts = [task(shards[0])]
         for shard in shards[1:]:
@@ -776,8 +781,6 @@ def _census(rep, kind, families, grid, L_max, workers, force, edges=None, profil
     grid = np.asarray(grid, dtype=float)
     if families and (grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0)):
         raise ValueError("t_grid must be a nonempty strictly increasing 1-d array")
-    if kind not in (KIND_CARTAN, KIND_JORDAN, KIND_JORDAN_PRIMITIVE):
-        raise ValueError(f"unknown census kind {kind!r}")
     _check_budget(rep.k, L_max)  # before the bound's walk and any fork
     primitive_only = kind == KIND_JORDAN_PRIMITIVE
     images = _factor_images(rep)
@@ -912,11 +915,14 @@ def completeness_horizon(
     letter, as the enumerated ones do, it is longer than c_min_hat * L_max
     and counts below the horizon are complete.  That premise is empirical:
     c_min_hat is a minimum over the enumerated items only, so the horizon
-    is an empirical estimate, not a certificate.  kind is a census kind, or
-    "jordan" or "cartan" for short.
+    is an empirical estimate, not a certificate.  kind is "jordan", the
+    minimum over the conjugacy classes, or "cartan", over the words; a
+    horizon counts no family, so it has no primitive-only kind.
     """
-    kind = {"jordan": KIND_JORDAN, "cartan": KIND_CARTAN}.get(kind, kind)
-    part, t_trust = _census(rep, kind, (), (), L_max, workers, force, profile=profile)
+    kinds = {"jordan": KIND_JORDAN, "cartan": KIND_CARTAN}
+    if kind not in kinds:
+        raise ValueError(f"horizon kind must be 'jordan' or 'cartan', got {kind!r}")
+    part, t_trust = _census(rep, kinds[kind], (), (), L_max, workers, force, profile=profile)
     if not math.isfinite(part.c_min):
         raise InsufficientData("enumeration produced no items")
     return t_trust, part.c_min

@@ -48,8 +48,8 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError(f"config file {path} not found") from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise SchemaError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config file {path} is not valid JSON: {exc}") from None
 
@@ -170,12 +170,17 @@ def _direction(config, rep):
     return regions.unit(_vector("direction", doc, rep.d)), None
 
 
-def _sector_edges(doc):
+def _sector_edges(doc, points: int):
+    """Holonomy sector edges from a bin count or a list of edges, refused
+    before any allocation when the histogram's cells, points T-grid points
+    times the sectors, exceed MAX_GRID."""
     if doc is None:
         return None
+    bins = len(doc) - 1 if isinstance(doc, list) else _integer("sectors", doc)
+    if bins * points > MAX_GRID:
+        raise SchemaError(f"'sectors' times the {points} T-grid points exceeds {MAX_GRID} cells")
     if isinstance(doc, list):
         return [_number("sectors", x) for x in doc]
-    bins = _integer("sectors", doc)
     if bins < 1:
         raise SchemaError("'sectors' bin count must be positive")
     return list(np.linspace(0.0, math.pi, bins + 1))
@@ -200,12 +205,22 @@ def _table(path: Path, header, rows):
         w.writerows(rows)
 
 
+def _series_rows(series: CountSeries):
+    """The T, count and trusted columns of a series."""
+    return ([format(t, F17), c, int(tr)] for t, c, tr in zip(series.t_grid, series.counts, series.trusted))
+
+
+def _model_rows(series: CountSeries, fit: FitResult):
+    """T, count and the fitted model exp(delta T + log c) / T^alpha."""
+    return ([format(t, F17), c, format(math.exp(fit.delta_hat * t + fit.log_c_hat) / t**fit.alpha_hat, F17)]
+            for t, c in zip(series.t_grid, series.counts))
+
+
 def write_series_csv(series: CountSeries, path: Path):
     _table(
         path,
         ["T", "count", "trusted", "kind", "region"],
-        ([format(t, F17), c, int(tr), series.kind, series.region]
-         for t, c, tr in zip(series.t_grid, series.counts, series.trusted)),
+        (row + [series.kind, series.region] for row in _series_rows(series)),
     )
 
 
@@ -238,31 +253,11 @@ def write_ladder_csv(ladder: LadderResult, path: Path):
     )
 
 
-def emit_plot_data(artifact, path: Path):
-    """Gnuplot-ready whitespace-separated columns with a one-line header."""
-    if isinstance(artifact, CountSeries):
-        header = "T count trusted"
-        rows = ((format(t, F17), c, int(tr))
-                for t, c, tr in zip(artifact.t_grid, artifact.counts, artifact.trusted))
-    elif isinstance(artifact, LadderResult):
-        header = "epsilon delta_hat"
-        rows = ((format(e, F17), format(dh, F17))
-                for e, dh in zip(artifact.epsilons, artifact.delta_hats))
-    elif (
-        isinstance(artifact, tuple)
-        and len(artifact) == 2
-        and isinstance(artifact[0], CountSeries)
-        and isinstance(artifact[1], FitResult)
-    ):
-        series, fit = artifact
-        header = "T count model"
-        rows = ((format(t, F17), c,
-                 format(math.exp(fit.delta_hat * t + fit.log_c_hat) / t**fit.alpha_hat, F17))
-                for t, c in zip(series.t_grid, series.counts))
-    else:
-        raise IoError(f"no plot emitter for {type(artifact).__name__}")
+def emit_plot_data(path: Path, header, rows):
+    """A gnuplot-ready table, in _table's shape: '# ' and the header, then
+    rows, each value written by str() and separated by single spaces."""
     with _writer(path) as fh:
-        fh.write(f"# {header}\n")
+        fh.write("# " + " ".join(header) + "\n")
         for row in rows:
             fh.write(" ".join(str(x) for x in row) + "\n")
 
@@ -270,9 +265,9 @@ def emit_plot_data(artifact, path: Path):
 def write_spectra_csv(chunks, path: Path, d: int, kind: str):
     """The --dump-spectra table: one row per item of chunks, (letters,
     vectors (m, d), holonomies (m, d) or None) in stream order, with the
-    word, its Cartan (mu) or, for a jordan kind, Jordan (lambda) vector,
-    and the holonomy of each complex factor."""
-    label = "lambda" if kind.startswith("jordan") else "mu"
+    word, its Cartan (mu) vector for census.KIND_CARTAN, else its Jordan
+    (lambda) vector, and the holonomy of each complex factor."""
+    label = "mu" if kind == census.KIND_CARTAN else "lambda"
     header = ["word"] + [f"{label}_{i}" for i in range(d)] + [f"holonomy_{i}" for i in range(d)]
 
     def rows():
@@ -364,7 +359,7 @@ def _series_run(config, args, out: Path) -> int:
     if args.command == "census-box":
         direction, _ = _direction(config, rep)
         widths = _vector("widths", config.get("widths"), rep.d)
-        sectors = _sector_edges(config.get("sectors"))
+        sectors = _sector_edges(config.get("sectors"), grid.size)
     else:
         family = parse_region(config["region"], rep.d)
     walk = dict(workers=args.workers, force=args.force, profile=args.profile)
@@ -390,7 +385,7 @@ def _series_run(config, args, out: Path) -> int:
             chunks = (chunk[:3] for chunk in census.iter_class_chunks(rep, L_max))
         write_spectra_csv(chunks, out / "spectra.csv", rep.d, series.kind)
     write_series_csv(series, out / "series.csv")
-    emit_plot_data(series, out / "series.dat")
+    emit_plot_data(out / "series.dat", ["T", "count", "trusted"], _series_rows(series))
     _manifest(
         out, args, config,
         {"t_trust": series.t_trust, "c_min_hat": series.c_min_hat, "kind": series.kind,
@@ -416,7 +411,10 @@ def run_ladder(config, args, out: Path) -> int:
         workers=args.workers, force=args.force, profile=args.profile,
     )
     write_ladder_csv(ladder, out / "ladder.csv")
-    emit_plot_data(ladder, out / "ladder.dat")
+    emit_plot_data(
+        out / "ladder.dat", ["epsilon", "delta_hat"],
+        ([format(e, F17), format(dh, F17)] for e, dh in zip(ladder.epsilons, ladder.delta_hats)),
+    )
     _manifest(
         out, args, config,
         {
@@ -445,11 +443,11 @@ def run_correlate(config, args, out: Path) -> int:
         profile=args.profile,
     )
     write_series_csv(series, out / "box_series.csv")
-    emit_plot_data(series, out / "box_series.dat")
+    emit_plot_data(out / "box_series.dat", ["T", "count", "trusted"], _series_rows(series))
     populated = fitting.restrict_to_positive(series)
     fit = fitting.fit_growth(populated, fix_alpha=(rep.d - 1) / 2.0)
     write_fit_csv(fit, out / "box_fit.csv", label="box")
-    emit_plot_data((populated, fit), out / "box_fit.dat")
+    emit_plot_data(out / "box_fit.dat", ["T", "count", "model"], _model_rows(populated, fit))
 
     fgrid = parse_grid(config.get("factor_t_grid", config["t_grid"]))
     factor_fits = [

@@ -232,12 +232,12 @@ def factor_critical_exponent(
     factor_index: int,
     t_grid,
     L_max: int,
-    window: Optional[Tuple[float, float]] = None,
     workers: int = 1,
     force: bool = False,
     profile: Optional[dict] = None,
 ) -> FitResult:
-    """Critical exponent of one factor from rank-one displacement counting.
+    """Critical exponent of one factor from rank-one displacement counting,
+    fitted on the default window [T_trust/2, T_trust].
 
     The walk adds its evaluated words to profile["cartan_leaves"], when
     profile is given."""
@@ -247,7 +247,7 @@ def factor_critical_exponent(
     sub = Representation(k=rep.k, factors=(rep.factors[factor_index],))
     family = CoordinateRayFamily(0, 1)
     series = census_cartan(sub, family, t_grid, L_max, workers=workers, force=force, profile=profile)
-    return fit_growth(series, window=window, fix_alpha=0.0)
+    return fit_growth(series, fix_alpha=0.0)
 
 
 def check_correlation_bounds(

@@ -268,8 +268,6 @@ def region_id(spec) -> str:
         return f"cone[v=({fmt(spec.direction)});theta={spec.half_angle:.6g}]"
     if isinstance(spec, BoxWindow):
         return f"box[v=({fmt(spec.direction)});eps=({fmt(spec.widths)})]"
-    if isinstance(spec, TruncatedTubeSpec):
-        return f"ttube[v=({fmt(spec.direction)});T={spec.height:.6g}]"
     raise TypeError(f"no region id for {type(spec).__name__}")
 
 
@@ -410,10 +408,6 @@ class BoxWindowFamily:
         started = np.searchsorted(lo, grid, side="right")
         ended = np.searchsorted(hi, grid, side="left")
         return (started - ended).astype(np.int64)
-
-    def member_mask(self, X: np.ndarray, t: float) -> np.ndarray:
-        lo, hi = self.window(X)
-        return (lo <= t) & (t <= hi)
 
 
 class CoordinateRayFamily:

@@ -77,10 +77,6 @@ class Representation:
     def d(self) -> int:
         return len(self.factors)
 
-    @property
-    def fields(self) -> Tuple[str, ...]:
-        return tuple(f.field for f in self.factors)
-
 
 @dataclass(frozen=True)
 class ProductElement:
@@ -350,7 +346,7 @@ def validate_ping_pong(rep: Representation, tol: float = DEFAULT_PINGPONG_TOL) -
     )
 
 
-def defect_table(factor: Factor, tol: float = DEFAULT_PINGPONG_TOL) -> Optional[np.ndarray]:
+def defect_table(factor: Factor) -> Optional[np.ndarray]:
     """Certified per-letter-pair quasi-additivity defects of one rank-2
     factor, a (4, 4) array C in letter-code order, or None.
 
@@ -382,16 +378,17 @@ def defect_table(factor: Factor, tol: float = DEFAULT_PINGPONG_TOL) -> Optional[
     mu(w^m) >= m mu(w) - (m - 1) C[last(w), first(w)], and the translation
     length lambda(w) = lim mu(w^m)/m >= mu(w) - C[last(w), first(w)].
 
-    The circles are the ones validate_ping_pong certifies, in letter-code
-    order (the inverse of letter a is a ^ 1); its frame rotations fix o, so
-    mu is the same in every frame.  Returns None when the lemma does not
-    apply: k != 2, the circles degenerate or fail ping-pong, or o lies
-    inside (or on) a hemisphere.
+    The circles are the ones validate_ping_pong certifies at the gate's
+    tolerance, DEFAULT_PINGPONG_TOL, in letter-code order (the inverse of
+    letter a is a ^ 1); its frame rotations fix o, so mu is the same in
+    every frame.  Returns None when the lemma does not apply: k != 2, the
+    circles degenerate or fail ping-pong, or o lies inside (or on) a
+    hemisphere.
     """
     if len(factor.generators) != 2:
         return None
     try:
-        report = validate_ping_pong(Representation(k=2, factors=(factor,)), tol)
+        report = validate_ping_pong(Representation(k=2, factors=(factor,)))
     except NotApplicable:
         return None
     if not report.passed:
@@ -417,11 +414,11 @@ def defect_table(factor: Factor, tol: float = DEFAULT_PINGPONG_TOL) -> Optional[
     return table
 
 
-def defect_constant(factor: Factor, tol: float = DEFAULT_PINGPONG_TOL) -> Optional[float]:
+def defect_constant(factor: Factor) -> Optional[float]:
     """Certified quasi-additivity defect C of one rank-2 factor, or None: the
     largest entry of defect_table, so mu(uv) >= mu(u) + mu(v) - C for every
     reduced product uv of nonempty words u, v."""
-    table = defect_table(factor, tol)
+    table = defect_table(factor)
     return None if table is None else float(table.max())
 
 
@@ -471,14 +468,14 @@ def evaluate(rep: Representation, w: Word) -> ProductElement:
     return ProductElement(tuple(mats))
 
 
-def lambda_vector(rep: Representation, c: CyclicWord, tol: float = algebra.DEFAULT_TOL) -> SpectrumVector:
+def lambda_vector(rep: Representation, c: CyclicWord) -> SpectrumVector:
     """Jordan vector of a conjugacy class, with per-complex-factor holonomies."""
     prod = evaluate(rep, c.word())
     coords = []
     holos: List[Optional[float]] = []
     for g in prod.matrices:
-        coords.append(algebra.jordan_length(g, tol))
-        holos.append(algebra.holonomy_angle(g, tol) if g.field == COMPLEX else None)
+        coords.append(algebra.jordan_length(g))
+        holos.append(algebra.holonomy_angle(g) if g.field == COMPLEX else None)
     return SpectrumVector(tuple(coords), "jordan", tuple(holos))
 
 
@@ -492,12 +489,9 @@ def mu_vector(rep: Representation, w: Word) -> SpectrumVector:
 # dependence detection
 
 
-def detect_dependence(
-    rep: Representation,
-    L_probe: int,
-    tol: float = DEFAULT_DEPENDENCE_TOL,
-) -> DependenceReport:
-    """Numerical rank of the span of Jordan vectors up to core length L_probe.
+def detect_dependence(rep: Representation, L_probe: int) -> DependenceReport:
+    """Numerical rank of the span of Jordan vectors up to core length L_probe:
+    the singular values above DEFAULT_DEPENDENCE_TOL times the largest.
 
     Rank below d is the operational signature of dependent factors (the
     spectrum cone degenerates to a lower-dimensional cone).  The vectors are
@@ -517,7 +511,7 @@ def detect_dependence(
             f"only {len(lam)} classes up to core length {L_probe}; need {rep.d + 3}"
         )
     sv = np.linalg.svd(lam, compute_uv=False)
-    rank = int(np.sum(sv > tol * sv[0]))
+    rank = int(np.sum(sv > DEFAULT_DEPENDENCE_TOL * sv[0]))
     m_hat = M_hat = None
     if rep.d == 2:
         ratios = lam[:, 1] / lam[:, 0]
@@ -530,5 +524,5 @@ def detect_dependence(
         M_hat=M_hat,
         probe_core_length=L_probe,
         n_classes=len(lam),
-        tol=tol,
+        tol=DEFAULT_DEPENDENCE_TOL,
     )

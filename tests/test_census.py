@@ -1,3 +1,4 @@
+import errno
 import functools
 import json
 import math
@@ -199,8 +200,9 @@ def test_box_huge_widths_cover_lower_orthant(two_factor_rep):
     family = cn.BoxWindowFamily(v, (1e9, 1e9))
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 30, size=(500, 2))
+    lo, hi = family.window(X)
     for t in (3.0, 7.0, 11.0):
-        mask = family.member_mask(X, t)
+        mask = (lo <= t) & (t <= hi)
         direct = np.all(X >= np.asarray(v) * t, axis=1)
         assert np.array_equal(mask, direct)
 
@@ -427,8 +429,10 @@ def _fail_in_shard_zero(exc, shard):
     raise exc
 
 
-@pytest.mark.parametrize("case", ["census", "child crash", "parent raises", "parent interrupted"])
-def test_sharded_run_leaves_no_child_and_no_open_pipe(real_pair, case):
+@pytest.mark.parametrize(
+    "case", ["census", "child crash", "fork fails", "parent raises", "parent interrupted"]
+)
+def test_sharded_run_leaves_no_child_and_no_open_pipe(real_pair, monkeypatch, case):
     fds = len(os.listdir("/dev/fd"))
     t0 = time.monotonic()
     if case == "census":
@@ -438,6 +442,19 @@ def test_sharded_run_leaves_no_child_and_no_open_pipe(real_pair, case):
     elif case == "child crash":
         with pytest.raises(cn.WorkerCrashed):
             cn._run_sharded(_die, workers=3)
+    elif case == "fork fails":
+        # the second fork meets the process limit while the first child sleeps
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        with pytest.raises(cn.WorkerCrashed, match="could not start"):
+            cn._run_sharded(functools.partial(_fail_in_shard_zero, ShardFailure("not reached")), workers=3)
     else:
         exc = ShardFailure("shard 0 failed") if case == "parent raises" else KeyboardInterrupt()
         with pytest.raises(type(exc)):
@@ -483,6 +500,13 @@ def test_int64_overflow_is_capacity_exceeded(real_pair, monkeypatch):
         cn.census_cartan(real_pair, cn.CoordinateRayFamily(0, 1), GRID, 45)
     # the largest rank-2 length whose top stratum still fits int64 passes the gate
     assert next(cn.iter_word_chunks(real_pair, 39))[0].shape == (4, 1)
+
+
+@pytest.mark.parametrize("kind", [cn.KIND_JORDAN, cn.KIND_JORDAN_PRIMITIVE, cn.KIND_CARTAN, "box"])
+def test_horizon_kind_is_jordan_or_cartan(real_pair, kind):
+    # the horizon has one spelling per walk; a census kind is not one
+    with pytest.raises(ValueError, match="horizon kind"):
+        cn.completeness_horizon(real_pair, 4, kind)
 
 
 @pytest.mark.parametrize("workers", [0, -2])

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -354,6 +356,52 @@ def test_huge_grid_is_schema_error(tmp_path, grid):
     assert cli.parse_grid({"t_min": 0.0, "t_max": 999_999.0, "step": 1.0}).size == cli.MAX_GRID
 
 
+@pytest.mark.parametrize("sectors, grid", [
+    (10**12, None),
+    ([i * math.pi / 10 for i in range(11)], {"t_min": 2.0, "t_max": 14.0, "step": 1e-4}),
+], ids=["count", "list"])
+def test_huge_sector_histogram_is_schema_error(tmp_path, sectors, grid):
+    # grid points times sectors past MAX_GRID is refused before the edges
+    # or the histogram are allocated, with an error.json
+    doc = dict(BOX, sectors=sectors, t_grid=grid or BOX["t_grid"])
+    cfg = write_config(tmp_path, "box.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["census-box", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.SchemaError", record
+    assert f"exceeds {cli.MAX_GRID} cells" in record["message"]
+
+
+@pytest.mark.parametrize("where", ["config", "representation"])
+def test_unreadable_config_is_schema_error(tmp_path, where):
+    # a directory where a JSON file belongs: an error.json naming the path,
+    # not a traceback
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    cfg = folder
+    if where == "representation":
+        cfg = write_config(tmp_path, "c.json", dict(CARTAN, representation="folder"))
+    out = tmp_path / "out"
+    assert cli.main(["census-cartan", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.SchemaError", record
+    assert str(folder) in record["message"]
+
+
+def test_failed_fork_is_worker_crashed(tmp_path, monkeypatch):
+    # the system refuses the fork (EAGAIN at the process limit)
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "ratio_tube.json"
+    out = tmp_path / "out"
+    assert cli.main(["ratio", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "census.WorkerCrashed", record
+    assert not (out / "MANIFEST.json").exists()
+
+
 def test_dump_spectra_only_on_census_subcommands(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -389,7 +437,7 @@ def test_emit_plot_data_overlay(tmp_path):
     series = cn.CountSeries(t, counts, "jordan-classes", "r", 0, 16.0, 1.0, True)
     fit = ft.fit_growth(series, window=(8.0, 16.0), fix_alpha=0.0)
     path = tmp_path / "overlay.dat"
-    cli.emit_plot_data((series, fit), path)
+    cli.emit_plot_data(path, ["T", "count", "model"], cli._model_rows(series, fit))
     lines = path.read_text().splitlines()
     assert lines[0] == "# T count model"
     first = lines[1].split()
@@ -587,9 +635,11 @@ def test_writer_bytes_are_pinned(tmp_path):
     cli.write_histograms_csv(hists, tmp_path / "holonomy.csv")
     cli.write_fit_csv(fit, tmp_path / "fit.csv", label="box")
     cli.write_ladder_csv(ladder, tmp_path / "ladder.csv")
-    cli.emit_plot_data(series, tmp_path / "series.dat")
-    cli.emit_plot_data(ladder, tmp_path / "ladder.dat")
-    cli.emit_plot_data((series, fit), tmp_path / "fit.dat")
+    cli.emit_plot_data(tmp_path / "series.dat", ["T", "count", "trusted"], cli._series_rows(series))
+    cli.emit_plot_data(tmp_path / "ladder.dat", ["epsilon", "delta_hat"],
+                       [[format(e, cli.F17), format(dh, cli.F17)]
+                        for e, dh in zip(ladder.epsilons, ladder.delta_hats)])
+    cli.emit_plot_data(tmp_path / "fit.dat", ["T", "count", "model"], cli._model_rows(series, fit))
     cli._write_bounds(mean, tmp_path / "mean")
     cli._write_bounds(no_mean, tmp_path / "no_mean")
     region = '"tube(v=(1,), eps=0.5)"'

@@ -116,7 +116,7 @@ def _walk(k, n_max, mats, logs, workers=1):
     block checked to hold 1..BLOCK rows, as {n: (letters, (P, S))} per
     length in word-index order (shards merged back into it)."""
     parts = []
-    for shard in cn._shards(workers):
+    for shard in [(w, workers) for w in range(workers)]:
         blocks = []
         for letters, period, evals in cn._walk(k, n_max, [(mats, logs)], shard):
             ((P, S),) = evals
@@ -328,7 +328,7 @@ def test_necklace_walk_matches_decode_and_filters(k, n_max):
     for workers in (1, 2, 3):
         parts = [
             _per_length(_walk_columns(*c) for c in cn._walk(k, n_max, factors, shard, classes=True))
-            for shard in cn._shards(workers)
+            for shard in [(w, workers) for w in range(workers)]
         ]
         got = parts[0] if workers == 1 else _merge_shards(parts)
         assert sorted(got) == sorted(want)
@@ -370,7 +370,8 @@ def test_class_chunks_match_decoded_pipeline(monkeypatch, request, rep_name, wor
     monkeypatch.setattr(cn, "BLOCK", block)
     rep = request.getfixturevalue(rep_name)
     want = _per_length(_decoded_class_chunks(rep, 8))
-    parts = [_per_length(cn.iter_class_chunks(rep, 8, shard=shard)) for shard in cn._shards(workers)]
+    shards = [(w, workers) for w in range(workers)]
+    parts = [_per_length(cn._stream(rep, 8, shard, classes=True)) for shard in shards]
     got = parts[0] if workers == 1 else _merge_shards(parts)
     assert sorted(got) == sorted(want)
     rows = 0
@@ -389,7 +390,7 @@ def _assert_shards_partition(k, L_max, workers, classes):
     # the shards' items are every class (with its primitivity) or every
     # word once, and each shard yields each length in word-index order
     seen = []
-    for shard in cn._shards(workers):
+    for shard in [(w, workers) for w in range(workers)]:
         order = {}
         for letters, period, evals in cn._walk(k, L_max, [], shard, classes=classes):
             assert evals == [] and (period is None) != classes

@@ -234,7 +234,7 @@ def _mixed_factor(stretch_a: float, stretch_b: float) -> rp.Factor:
 def test_detect_dependence_insufficient_data(real_pair):
     pair = rp.join(real_pair, real_pair)
     with pytest.raises(rp.InsufficientData):
-        rp.detect_dependence(pair, 1, tol=1e-6)
+        rp.detect_dependence(pair, 1)
 
 
 def _scalar_dependence(rep, L_probe, tol=rp.DEFAULT_DEPENDENCE_TOL):
