@@ -431,7 +431,7 @@ def _factor_images(rep: Representation):
     contiguous (2k,) entry arrays, in letter-code order."""
     out = []
     for f in rep.factors:
-        mats, logs = generator_arrays(f, rep.k)
+        mats, logs = generator_arrays(f)
         out.append((tuple(mats[:, i, j].copy() for i in (0, 1) for j in (0, 1)), logs))
     return out
 
@@ -869,8 +869,10 @@ def census_box(
     holonomy sector per complex factor.
 
     Returns (CountSeries, histograms) where histograms is None without
-    sectors, else {factor_index: [HolonomyHistogram per grid point]}.  The
-    walk is pruned to the box's reach and profiled as in census_jordan.
+    sectors, else {factor_index: [HolonomyHistogram per grid point]}.
+    Sectors on a representation with no complex factor raise
+    algebra.RealFactor before any walk.  The walk is pruned to the box's
+    reach and profiled as in census_jordan.
     """
     family = BoxWindowFamily(direction, widths)
     edges = None
@@ -880,6 +882,8 @@ def census_box(
             raise ValueError("sectors must be an increasing sequence of angles")
         if abs(edges[0]) > 1e-12 or abs(edges[-1] - math.pi) > 1e-12:
             raise ValueError("sector edges must cover [0, pi] exactly")
+        if all(f.field != algebra.COMPLEX for f in rep.factors):
+            raise algebra.RealFactor("holonomy is only defined for complex factors")
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
     series, part = _series(rep, kind, family, t_grid, L_max, workers, force, edges, profile)
     if edges is None:

@@ -1,9 +1,13 @@
 """Batch front end: one experiment per invocation, JSON config in, CSV out.
 
-Every run writes a MANIFEST.json (config echo, versions, horizons, wall
-time) next to its artifacts; failures write a machine-readable error.json
-and exit nonzero.  Numeric artifacts are byte-stable across reruns and
-worker counts.
+main owns the run: it loads the config, parses its representation once,
+spells the walk settings (workers, force, profile) once as args.walk, and
+hands both to the subcommand's runner, (config, args, out, rep) -> dict,
+which writes its artifacts and returns the MANIFEST extras it measured.
+main then writes MANIFEST.json (config echo, versions, horizons, wall
+time) next to the artifacts; a failure, or a validation that did not pass,
+writes a machine-readable error.json and exits nonzero.  Numeric artifacts
+are byte-stable across reruns and worker counts.
 """
 
 from __future__ import annotations
@@ -295,15 +299,15 @@ def _finite(value):
     return value
 
 
-def _manifest(out: Path, args, config: dict, extra: dict, rep=None):
+def _manifest(out: Path, args, config: dict, extra: dict, rep):
     """Write MANIFEST.json: the command, config echo, workers, versions, the
     wall time since main started, and extra.  A run whose Cartan or class
-    walks added to args.profile also gets a "profile" block: each factor of
-    rep's certified defect constant (None where the lemma does not apply)
-    and the Cartan vectors ("cartan_leaves") or classes ("class_leaves")
-    evaluated, each summed over shards and walks.  The file is
-    strict JSON: a non-finite float, such as the -inf rate of a ladder off
-    the spectrum cone, is written as null."""
+    walks added to the profile of args.walk also gets a "profile" block:
+    each factor of rep's certified defect constant (None where the lemma
+    does not apply) and the Cartan vectors ("cartan_leaves") or classes
+    ("class_leaves") evaluated, each summed over shards and walks.  The
+    file is strict JSON: a non-finite float, such as the -inf rate of a
+    ladder off the spectrum cone, is written as null."""
     doc = {
         "command": args.command,
         "config": config,
@@ -316,10 +320,11 @@ def _manifest(out: Path, args, config: dict, extra: dict, rep=None):
         "wall_time_s": round(time.time() - args.t0, 3),
         **extra,
     }
-    if args.profile:
+    profile = args.walk["profile"]
+    if profile:
         doc["profile"] = {
             "defect_constants": [reps.defect_constant(f) for f in rep.factors],
-            **args.profile,
+            **profile,
         }
     with _writer(out / "MANIFEST.json") as fh:
         json.dump(_finite(doc), fh, indent=2, sort_keys=True, allow_nan=False)
@@ -330,9 +335,8 @@ def _manifest(out: Path, args, config: dict, extra: dict, rep=None):
 # experiment runners
 
 
-def run_validate(config, args, out: Path) -> int:
-    rep = parse_representation(config["representation"], args.base_dir)
-    reports = reps.validate_representation(rep, _number("tol", config.get("tol", 1e-9)))
+def run_validate(config, args, out: Path, rep) -> dict:
+    reports = reps.validate_representation(rep)
     lines = []
     for i, r in enumerate(reports):
         lines.append(
@@ -343,17 +347,11 @@ def run_validate(config, args, out: Path) -> int:
             lines.append(f"  circle {label}: center=({center.real:.9g},{center.imag:.9g}) radius={radius:.9g}")
     with _writer(out / "validation.txt") as fh:
         fh.write("\n".join(lines) + "\n")
-    passed = all(r.passed for r in reports)
-    _manifest(out, args, config, {"passed": passed, "margins": [r.margin for r in reports]})
-    if not passed:
-        _error_record(out, reps.PingPongFailure("one or more factors failed validation"))
-        return 1
-    return 0
+    return {"passed": all(r.passed for r in reports), "margins": [r.margin for r in reports]}
 
 
-def _series_run(config, args, out: Path) -> int:
+def _series_run(config, args, out: Path, rep) -> dict:
     """census-jordan, census-cartan and census-box, by args.command."""
-    rep = parse_representation(config["representation"], args.base_dir)
     grid = parse_grid(config["t_grid"])
     L_max = _integer("L_max", config["L_max"])
     if args.command == "census-box":
@@ -362,21 +360,20 @@ def _series_run(config, args, out: Path) -> int:
         sectors = _sector_edges(config.get("sectors"), grid.size)
     else:
         family = parse_region(config["region"], rep.d)
-    walk = dict(workers=args.workers, force=args.force, profile=args.profile)
     primitive_only = bool(config.get("primitive_only", False))
     if args.command == "census-box":
         series, hists = census.census_box(
             rep, direction, widths, grid, L_max, sectors=sectors,
-            primitive_only=primitive_only, **walk,
+            primitive_only=primitive_only, **args.walk,
         )
         if hists:
             write_histograms_csv(hists, out / "holonomy.csv")
     elif args.command == "census-jordan":
         series = census.census_jordan(
-            rep, family, grid, L_max, primitive_only=primitive_only, **walk
+            rep, family, grid, L_max, primitive_only=primitive_only, **args.walk
         )
     else:
-        series = census.census_cartan(rep, family, grid, L_max, **walk)
+        series = census.census_cartan(rep, family, grid, L_max, **args.walk)
     if args.dump_spectra:
         # every word or class, from one unpruned walk in this process
         if series.kind == census.KIND_CARTAN:
@@ -386,17 +383,11 @@ def _series_run(config, args, out: Path) -> int:
         write_spectra_csv(chunks, out / "spectra.csv", rep.d, series.kind)
     write_series_csv(series, out / "series.csv")
     emit_plot_data(out / "series.dat", ["T", "count", "trusted"], _series_rows(series))
-    _manifest(
-        out, args, config,
-        {"t_trust": series.t_trust, "c_min_hat": series.c_min_hat, "kind": series.kind,
-         "region": series.region},
-        rep,
-    )
-    return 0
+    return {"t_trust": series.t_trust, "c_min_hat": series.c_min_hat, "kind": series.kind,
+            "region": series.region}
 
 
-def run_ladder(config, args, out: Path) -> int:
-    rep = parse_representation(config["representation"], args.base_dir)
+def run_ladder(config, args, out: Path, rep) -> dict:
     grid = parse_grid(config["t_grid"])
     direction, _ = _direction(config, rep)
     source = config.get("source")
@@ -407,29 +398,22 @@ def run_ladder(config, args, out: Path) -> int:
         raise SchemaError("'epsilons' must be a nonempty decreasing list")
     ladder = fitting.growth_indicator_ladder(
         rep, direction, [_number("epsilons", e) for e in epsilons], grid,
-        _integer("L_max", config["L_max"]), source,
-        workers=args.workers, force=args.force, profile=args.profile,
+        _integer("L_max", config["L_max"]), source, **args.walk,
     )
     write_ladder_csv(ladder, out / "ladder.csv")
     emit_plot_data(
         out / "ladder.dat", ["epsilon", "delta_hat"],
         ([format(e, F17), format(dh, F17)] for e, dh in zip(ladder.epsilons, ladder.delta_hats)),
     )
-    _manifest(
-        out, args, config,
-        {
-            "extrapolated": ladder.extrapolated,
-            "direction": list(ladder.direction),
-            "t_trust": ladder.t_trust,
-            "c_min_hat": ladder.c_min_hat,
-        },
-        rep,
-    )
-    return 0
+    return {
+        "extrapolated": ladder.extrapolated,
+        "direction": list(ladder.direction),
+        "t_trust": ladder.t_trust,
+        "c_min_hat": ladder.c_min_hat,
+    }
 
 
-def run_correlate(config, args, out: Path) -> int:
-    rep = parse_representation(config["representation"], args.base_dir)
+def run_correlate(config, args, out: Path, rep) -> dict:
     if rep.d < 2:
         raise SchemaError("correlate needs at least two factors")
     grid = parse_grid(config["t_grid"])
@@ -438,10 +422,7 @@ def run_correlate(config, args, out: Path) -> int:
     if dep is None:
         dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
     widths = _vector("widths", config.get("widths"), rep.d)
-    series, _ = census.census_box(
-        rep, direction, widths, grid, L_max, workers=args.workers, force=args.force,
-        profile=args.profile,
-    )
+    series, _ = census.census_box(rep, direction, widths, grid, L_max, **args.walk)
     write_series_csv(series, out / "box_series.csv")
     emit_plot_data(out / "box_series.dat", ["T", "count", "trusted"], _series_rows(series))
     populated = fitting.restrict_to_positive(series)
@@ -451,10 +432,7 @@ def run_correlate(config, args, out: Path) -> int:
 
     fgrid = parse_grid(config.get("factor_t_grid", config["t_grid"]))
     factor_fits = [
-        fitting.factor_critical_exponent(
-            rep, i, fgrid, L_max, workers=args.workers, force=args.force, profile=args.profile
-        )
-        for i in range(rep.d)
+        fitting.factor_critical_exponent(rep, i, fgrid, L_max, **args.walk) for i in range(rep.d)
     ]
     for i, f in enumerate(factor_fits):
         write_fit_csv(f, out / f"factor{i}_fit.csv", label=f"factor{i}")
@@ -465,7 +443,7 @@ def run_correlate(config, args, out: Path) -> int:
         tol=_number("bounds_tol", config.get("bounds_tol", 0.1)),
     )
     _write_bounds(bounds, out)
-    extra = {
+    return {
         "direction": list(direction),
         "delta_hat": fit.delta_hat,
         "factor_deltas": [f.delta_hat for f in factor_fits],
@@ -480,8 +458,6 @@ def run_correlate(config, args, out: Path) -> int:
             "probe_core_length": dep.probe_core_length,
         },
     }
-    _manifest(out, args, config, extra, rep)
-    return 0
 
 
 def _write_bounds(bounds, out: Path):
@@ -512,17 +488,12 @@ def _write_bounds(bounds, out: Path):
         fh.write("\n".join(lines) + "\n")
 
 
-def run_ratio(config, args, out: Path) -> int:
-    rep = parse_representation(config["representation"], args.base_dir)
+def run_ratio(config, args, out: Path, rep) -> dict:
     grid = parse_grid(config["t_grid"])
     L_max = _integer("L_max", config["L_max"])
     family = parse_region(config["region"], rep.d)
-    jordan = census.census_jordan(
-        rep, family, grid, L_max, workers=args.workers, force=args.force, profile=args.profile
-    )
-    cartan = census.census_cartan(
-        rep, family, grid, L_max, workers=args.workers, force=args.force, profile=args.profile
-    )
+    jordan = census.census_jordan(rep, family, grid, L_max, **args.walk)
+    cartan = census.census_cartan(rep, family, grid, L_max, **args.walk)
     write_series_csv(jordan, out / "jordan_series.csv")
     write_series_csv(cartan, out / "cartan_series.csv")
     window = config.get("window")
@@ -542,19 +513,13 @@ def run_ratio(config, args, out: Path) -> int:
                 f"ratio fit R^2 = {ratio.r_squared:.6g} below 0.85; the linear-in-T shape is "
                 "not resolved at this horizon (slope sign is still reported)\n"
             )
-    _manifest(
-        out, args, config,
-        {"slope": ratio.slope, "intercept": ratio.intercept, "r_squared": ratio.r_squared,
-         "warned": warn,
-         "t_trust": {"jordan": jordan.t_trust, "cartan": cartan.t_trust},
-         "c_min_hat": {"jordan": jordan.c_min_hat, "cartan": cartan.c_min_hat}},
-        rep,
-    )
-    return 0
+    return {"slope": ratio.slope, "intercept": ratio.intercept, "r_squared": ratio.r_squared,
+            "warned": warn,
+            "t_trust": {"jordan": jordan.t_trust, "cartan": cartan.t_trust},
+            "c_min_hat": {"jordan": jordan.c_min_hat, "cartan": cartan.c_min_hat}}
 
 
-def run_report(config, args, out: Path) -> int:
-    rep = parse_representation(config["representation"], args.base_dir)
+def run_report(config, args, out: Path, rep) -> dict:
     L_max = _integer("L_max", config.get("L_max", 8))
     lines = [f"representation: d={rep.d} factors, rank k={rep.k}"]
     reports = reps.validate_representation(rep)
@@ -571,16 +536,13 @@ def run_report(config, args, out: Path) -> int:
             lines.append(f"stretch ratio range: m_hat={dep.m_hat:.6g} M_hat={dep.M_hat:.6g}")
         extra["dependence_rank"] = dep.rank
     for kind in ("jordan", "cartan"):
-        t_trust, c_min = census.completeness_horizon(
-            rep, L_max, kind, workers=args.workers, force=args.force, profile=args.profile
-        )
+        t_trust, c_min = census.completeness_horizon(rep, L_max, kind, **args.walk)
         lines.append(f"{kind} horizon at L_max={L_max}: c_min_hat={c_min:.6g} T_trust={t_trust:.6g}")
         extra[f"{kind}_t_trust"] = t_trust
         extra[f"{kind}_c_min_hat"] = c_min
     with _writer(out / "report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
-    _manifest(out, args, config, extra, rep)
-    return 0
+    return extra
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +589,11 @@ def main(argv: Optional[list] = None) -> int:
         if name.startswith("census-"):
             p.add_argument("--dump-spectra", action="store_true", dest="dump_spectra")
     args = parser.parse_args(argv)
-    args.base_dir = Path(args.config).resolve().parent
+    base_dir = Path(args.config).resolve().parent
     # _manifest reads the wall time from t0; Cartan and class walks add their
-    # counters to profile, which _manifest writes as the "profile" block
-    args.t0, args.profile = time.time(), {}
+    # counters to the walk's profile, which _manifest writes as "profile"
+    args.t0 = time.time()
+    args.walk = dict(workers=args.workers, force=args.force, profile={})
 
     out = Path(args.out)
     try:
@@ -645,7 +608,12 @@ def main(argv: Optional[list] = None) -> int:
             raise SchemaError(
                 f"config kind {config['kind']!r} does not match subcommand {args.command!r}"
             )
-        return RUNNERS[args.command](config, args, out)
+        rep = parse_representation(config["representation"], base_dir)
+        extra = RUNNERS[args.command](config, args, out, rep)
+        _manifest(out, args, config, extra, rep)
+        if extra.get("passed") is False:
+            raise reps.PingPongFailure("one or more factors failed validation")
+        return 0
     except SpectraCensusError as exc:
         _error_record(out, exc)
         return 1

@@ -215,11 +215,11 @@ def growth_indicator_ladder(
             raise UntrustedWindow(
                 f"{source} at aperture {e:.6g}: no trusted T-range supports a fit ({exc})"
             ) from None
-    finite = [d for d in deltas if d != NEG_INF]
+    last = [d for d in deltas if d != NEG_INF][-2:]
     return LadderResult(
         epsilons=tuple(eps),
         delta_hats=tuple(deltas),
-        extrapolated=float(np.median(finite[-2:])) if finite else NEG_INF,
+        extrapolated=sum(last) / len(last) if last else NEG_INF,
         source=source,
         direction=v,
         t_trust=first.t_trust,

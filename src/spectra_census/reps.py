@@ -291,14 +291,15 @@ def _isometric_circles(mats: Sequence[RenormMatrix]) -> Optional[List[Tuple[comp
     return out
 
 
-def validate_ping_pong(rep: Representation, tol: float = DEFAULT_PINGPONG_TOL) -> ValidationReport:
+def validate_ping_pong(rep: Representation) -> ValidationReport:
     """Certify freeness/discreteness of a one-factor pair via isometric circles.
 
     Passes iff the four circles of g1^±1, g2^±1 are pairwise disjoint with
-    margin > tol.  This is a sufficient condition only: a failure means
-    "not certified", not "not Schottky".  Generators fixing infinity have
-    degenerate circles; the check is then run in a deterministically rotated
-    frame, which does not change the group.
+    margin > DEFAULT_PINGPONG_TOL, the census gate's tolerance.  This is a
+    sufficient condition only: a failure means "not certified", not "not
+    Schottky".  Generators fixing infinity have degenerate circles; the
+    check is then run in a deterministically rotated frame, which does not
+    change the group.
     """
     if rep.d != 1:
         raise ValueError("validate_ping_pong expects a one-factor representation")
@@ -335,7 +336,7 @@ def validate_ping_pong(rep: Representation, tol: float = DEFAULT_PINGPONG_TOL) -
         for j in range(i + 1, 4):
             (ci, ri), (cj, rj) = circles[i], circles[j]
             margin = min(margin, abs(ci - cj) - ri - rj)
-    passed = margin > tol
+    passed = margin > DEFAULT_PINGPONG_TOL
     message = "pairwise disjoint isometric circles" if passed else "isometric circles overlap or nest"
     return ValidationReport(
         passed=passed,
@@ -422,12 +423,9 @@ def defect_constant(factor: Factor) -> Optional[float]:
     return None if table is None else float(table.max())
 
 
-def validate_representation(rep: Representation, tol: float = DEFAULT_PINGPONG_TOL):
+def validate_representation(rep: Representation):
     """Per-factor ping-pong reports; the gate passes iff every factor passes."""
-    reports = tuple(
-        validate_ping_pong(Representation(k=rep.k, factors=(f,)), tol) for f in rep.factors
-    )
-    return reports
+    return tuple(validate_ping_pong(Representation(k=rep.k, factors=(f,))) for f in rep.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +440,7 @@ def _images_with_inverses(factor: Factor) -> List[RenormMatrix]:
     return out
 
 
-def generator_arrays(factor: Factor, k: int):
+def generator_arrays(factor: Factor):
     """(2k, 2, 2) image array and (2k,) log-scale array in letter-code order."""
     imgs = _images_with_inverses(factor)
     dtype = np.complex128 if factor.field == COMPLEX else np.float64

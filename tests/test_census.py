@@ -216,6 +216,17 @@ def test_holonomy_sectors_partition(complex_pair):
         assert sum(h.counts) == total
 
 
+def test_sectors_need_a_complex_factor(real_pair, monkeypatch):
+    # a real factor carries no holonomy: sectors are refused before any walk
+    def no_walk(*args, **kwargs):
+        raise AssertionError("census_box walked")
+
+    monkeypatch.setattr(cn, "_series", no_walk)
+    edges = np.linspace(0.0, math.pi, 5)
+    with pytest.raises(algebra.RealFactor):
+        cn.census_box(real_pair, (1.0,), (0.9,), GRID, 8, sectors=edges)
+
+
 def _per_grid_holonomy_bins(lo, hi, holos, grid, edges, complex_factors, d):
     """The holonomy bins by brute force: one mask and one bincount per grid
     point and complex factor."""
@@ -363,6 +374,12 @@ def test_one_process_run_imports_no_process_pool():
         "cn.census_cartan(rp.schottky_pair(3.0, 3.0), family, np.array([5.0, 9.0]), 6, workers=2)\n"
         "assert 'concurrent.futures.process' not in sys.modules\n"
         "assert 'multiprocessing' not in sys.modules\n"
+        # the ladder's extrapolation is plain arithmetic on two rates, not
+        # np.median, whose first call imports numpy.ma
+        "from spectra_census import fitting as ft\n"
+        "ft.growth_indicator_ladder(rp.schottky_pair(3.0, 3.0), [1.0], [1.3, 0.9],\n"
+        "                           np.arange(2.0, 14.0, 0.5) + 0.013, 6, 'cartan-tube')\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(cn.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

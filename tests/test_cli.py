@@ -54,6 +54,33 @@ def test_validate_failure_nonzero_exit(tmp_path):
     assert record["code"] == "reps.PingPongFailure"
 
 
+def _overlapping_pair():
+    """schottky_pair(4, 0.5)'s construction as explicit matrices, which the
+    builder refuses: the isometric circles overlap (margin -0.545)."""
+    a, c, s = 4.0, math.cosh(0.25), math.sinh(0.25)
+    g1 = [a, 0.0, 0.0, 1 / a]
+    g2 = [a * c * c - s * s / a, c * s * (1 / a - a), c * s * (a - 1 / a), c * c / a - a * s * s]
+    return {"rank": 2, "factors": [{"field": "real", "generators": [[[x, 0.0] for x in g] for g in (g1, g2)]}]}
+
+
+@pytest.mark.parametrize("tol", [None, -100], ids=["default", "negative-tol"])
+def test_validate_failure_writes_manifest_and_error(tmp_path, tol):
+    # validate certifies at the census gate's tolerance; a config "tol" is
+    # not read, so a negative one cannot certify overlapping circles
+    doc = {"representation": _overlapping_pair()}
+    if tol is not None:
+        doc["tol"] = tol
+    cfg = write_config(tmp_path, "v.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "factor 0: FAIL margin=-0.545" in (out / "validation.txt").read_text()
+    manifest = json.loads((out / "MANIFEST.json").read_text())
+    assert manifest["passed"] is False
+    assert manifest["margins"][0] == pytest.approx(-0.545, abs=1e-3)
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "reps.PingPongFailure"
+
+
 def test_census_box_dimension_mismatch_schema_error(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -309,6 +336,18 @@ def test_dump_spectra_independent_of_workers(tmp_path):
     assert "holonomy.csv" in artifacts[0]
 
 
+def test_sectors_on_a_real_representation_are_refused(tmp_path):
+    # holonomy sectors need a complex factor; the run fails before any walk
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    box = json.loads((configs / "census_box_complex.json").read_text())
+    cfg = write_config(tmp_path, "box.json", dict(box, representation=PAIR, L_max=8))
+    out = tmp_path / "out"
+    assert cli.main(["census-box", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "algebra.RealFactor", record
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 @pytest.mark.parametrize("command, doc", [
     ("ladder", {"representation": TWO_FACTOR, "direction": "auto", "source": "cartan-tube",
                 "epsilons": [1.1], "L_max": 10_000}),
@@ -452,7 +491,7 @@ def test_emit_plot_data_overlay(tmp_path):
     ],
 )
 def test_interrupt_and_worker_crash_write_error_record(tmp_path, monkeypatch, exc, code, status):
-    def runner(config, args, out):
+    def runner(config, args, out, rep):
         raise exc
 
     monkeypatch.setitem(cli.RUNNERS, "validate", runner)
@@ -562,7 +601,7 @@ RATIO = dict(CARTAN, kind="ratio", region={"type": "tube", "direction": [1.0], "
         (BOX, "sectors", {"sectors": [0.0, math.nan, math.pi]}),
         (BOX, "twist", {"representation": dict(BOX["representation"], twist=math.nan)}),
         (BOX, "direction", {"direction": [math.inf]}),
-        (dict(CARTAN, kind="validate"), "tol", {"tol": math.nan}),
+        (CARTAN, "step", {"t_grid": dict(CARTAN["t_grid"], step=math.nan)}),
         (CORRELATE, "bounds_tol", {"bounds_tol": math.nan}),
         (LADDER, "epsilons", {"epsilons": [2.0, math.nan]}),
         (RATIO, "window", {"window": [4.0, math.inf]}),

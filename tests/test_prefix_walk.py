@@ -151,7 +151,7 @@ def _assert_walk_is_evaluate_chunk(k, n_max, mats, logs):
 @pytest.mark.parametrize("k, n_max", [(2, 10), (3, 7)])
 def test_prefix_walk_is_bit_identical(k, n_max, field):
     rng = np.random.default_rng(1000 * k + n_max)
-    mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
+    mats, logs = rp.generator_arrays(_random_factor(rng, k, field))
     _assert_walk_is_evaluate_chunk(k, n_max, _soa(mats), logs)
 
 
@@ -163,7 +163,7 @@ def test_prefix_walk_blocks_tile_any_block_size(monkeypatch, k, n_max, block):
     monkeypatch.setattr(cn, "BLOCK", block)
     rng = np.random.default_rng(3000 + 100 * k + block)
     for field in (algebra.REAL, algebra.COMPLEX):
-        mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
+        mats, logs = rp.generator_arrays(_random_factor(rng, k, field))
         _assert_walk_is_evaluate_chunk(k, n_max, _soa(mats), logs)
 
 
@@ -171,7 +171,7 @@ def test_prefix_walk_blocks_tile_any_block_size(monkeypatch, k, n_max, block):
 @pytest.mark.parametrize("k, n_max", [(2, 10), (3, 7)])
 def test_soa_kernel_matches_stride_four_oracle(k, n_max, field):
     rng = np.random.default_rng(7000 + 1000 * k + n_max)
-    mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
+    mats, logs = rp.generator_arrays(_random_factor(rng, k, field))
     images = _soa(mats)
     is_complex = field == algebra.COMPLEX
     walked = _walk(k, n_max, images, logs)
@@ -315,7 +315,7 @@ def test_necklace_walk_matches_decode_and_filters(k, n_max):
     rng = np.random.default_rng(5000 + k)
     factors = []
     for field in (algebra.REAL, algebra.COMPLEX):
-        mats, logs = rp.generator_arrays(_random_factor(rng, k, field), k)
+        mats, logs = rp.generator_arrays(_random_factor(rng, k, field))
         factors.append((_soa(mats), logs))
     want = {}
     for n in range(1, n_max + 1):
