@@ -436,6 +436,17 @@ def _factor_images(rep: Representation):
     return out
 
 
+def _generator_norm(rep, images, jordan: bool = False) -> float:
+    """c1: the smallest norm of a generator's Cartan vector, or with jordan
+    its Jordan vector, from images = _factor_images(rep).  Stratum 1 holds
+    every generator, so no walk's c_min_hat exceeds it."""
+    fields = [f.field == algebra.COMPLEX for f in rep.factors]
+    one = np.column_stack(
+        [jordan_chunk(P, S, c)[0] if jordan else cartan_chunk(P, S) for (P, S), c in zip(images, fields)]
+    )
+    return float(np.min(np.sqrt(_row_sq_sum(one))))
+
+
 def _stream(rep, L_max: int, shard=(0, 1), bound=None, classes: bool = False, images=None):
     """Yields (letters, X (m,d), holos (m,d) or None, primitive (m,) or None),
     one per block of _walk, never an empty one: the Cartan vectors X of the
@@ -558,8 +569,8 @@ class _Pruning:
     k = 2), from one unpruned walk to depth EXACT (or L_max - 1) that
     _census runs once, before any shard forks, extended by
     m_ib(x + y) >= m_ib(x) + m_i(y) - C_i beyond, m_i the minimum over the
-    first letters and C_i the largest entry of the table; c1 comes from the
-    generator images alone.
+    first letters and C_i the largest entry of the table; c1 is
+    _generator_norm, from the generator images alone.
     The decision reads only a node's own (P, S), first and last letters and
     these constants, so it does not depend on the block size or workers.
     """
@@ -583,11 +594,7 @@ class _Pruning:
     def __init__(self, rep, reaches, L_max: int, images, tables: np.ndarray, jordan: bool):
         """tables[a, b, i] is C_i[a, b]."""
         k, d = rep.k, rep.d
-        fields = [f.field == algebra.COMPLEX for f in rep.factors]
-        one = np.column_stack(
-            [jordan_chunk(P, S, c)[0] if jordan else cartan_chunk(P, S) for (P, S), c in zip(images, fields)]
-        )
-        c1 = float(np.min(np.sqrt(_row_sq_sum(one))))
+        c1 = _generator_norm(rep, images, jordan)
         ball = max([R for axis, R in reaches if axis == "norm"], default=0.0)
         scale = 1.0 + self.MARGIN
         self.norm2 = [(max(ball, n * c1) * scale + self.MARGIN) ** 2 for n in range(L_max + 1)]

@@ -276,8 +276,11 @@ def write_spectra_csv(chunks, path: Path, d: int, kind: str):
 
     def rows():
         for letters, vectors, holos in chunks:
+            # letter_str's token of each letter code, one ASCII byte each
+            tokens = "".join(letter_str(code_letter(c)) for c in range(int(letters.max()) + 1))
+            spelled = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8).take(letters)
             for row in range(letters.shape[0]):
-                word = "".join(letter_str(code_letter(int(c))) for c in letters[row])
+                word = spelled[row].tobytes().decode("ascii")
                 vals = [format(x, F15) for x in vectors[row]]
                 if holos is None:
                     hvals = [""] * d

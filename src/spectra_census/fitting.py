@@ -22,6 +22,9 @@ from .census import (
     CoordinateRayFamily,
     CountSeries,
     census_cartan,
+    _factor_images,
+    _generator_norm,
+    _Pruning,
     _series,
 )
 from .errors import SpectraCensusError
@@ -239,6 +242,15 @@ def factor_critical_exponent(
     """Critical exponent of one factor from rank-one displacement counting,
     fitted on the default window [T_trust/2, T_trust].
 
+    The fit reads no count beyond T_trust = c_min_hat (L_max - 2), and
+    c_min_hat is at most c1, the smallest Cartan length of a generator
+    (stratum 1 is always walked).  So a strictly increasing grid is cut
+    after its first point above c1 max(L_max - 2, 0), with _Pruning's
+    margin: the census's cap min(raw, grid[-1]) then gives the same
+    T_trust, every count the fit reads is the same, and the walk, pruned at
+    the cut grid's last T, evaluates only the words that reach it.  A grid
+    with no point past the bound is walked whole.
+
     The walk adds its evaluated words to profile["cartan_leaves"], when
     profile is given."""
     if not 0 <= factor_index < rep.d:
@@ -246,6 +258,11 @@ def factor_critical_exponent(
     # the displacement coordinate only involves its own factor
     sub = Representation(k=rep.k, factors=(rep.factors[factor_index],))
     family = CoordinateRayFamily(0, 1)
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim == 1 and np.all(np.diff(grid) > 0):  # else the census raises on the grid as given
+        c1 = _generator_norm(sub, _factor_images(sub))
+        bound = c1 * max(L_max - 2, 0) * (1.0 + _Pruning.MARGIN) + _Pruning.MARGIN
+        t_grid = grid[: np.searchsorted(grid, bound, side="right") + 1]
     series = census_cartan(sub, family, t_grid, L_max, workers=workers, force=force, profile=profile)
     return fit_growth(series, fix_alpha=0.0)
 

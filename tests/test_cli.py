@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spectra_census import census as cn
@@ -184,6 +185,19 @@ def test_census_cartan_dump_interleaves_lengths(tmp_path):
             assert len(words) == gr.total_words(2, 9)
             assert words != [str(w) for w in expected]
         assert sorted(words, key=length.__getitem__) == [str(w) for w in expected]
+
+
+def test_spectra_words_spelled_as_per_letter(tmp_path):
+    # every letter code of rank 26, in rows of two lengths and one
+    # chunk per length, against letter_str letter by letter
+    rng = np.random.default_rng(7)
+    chunks = [rng.integers(0, 52, size=(60, n), dtype=np.int8) for n in (1, 9)]
+    path = tmp_path / "spectra.csv"
+    cli.write_spectra_csv(((c, np.zeros((len(c), 1)), None) for c in chunks), path, 1, cn.KIND_CARTAN)
+    words = [line.split(",")[0] for line in path.read_text().split("\n")[1:-1]]
+    assert words == ["".join(gr.letter_str(gr.code_letter(int(c))) for c in row) for c in chunks for row in c]
+    with pytest.raises(ValueError, match="rank <= 26"):
+        cli.write_spectra_csv([(np.array([[0, 52]], np.int8), np.zeros((1, 1)), None)], path, 1, cn.KIND_CARTAN)
 
 
 def test_ladder_cli(tmp_path):

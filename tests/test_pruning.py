@@ -1,8 +1,9 @@
 """The certified quasi-additivity defects (reps.defect_table and its maximum,
 reps.defect_constant) and the Cartan and class walks they prune: the lemma,
 per letter pair, against every split of the short words and against mpmath
-on long ones, its C_lambda corollary on every short necklace, and every
-pruned census against the unpruned walk."""
+on long ones, its C_lambda corollary on every short necklace, every
+pruned census against the unpruned walk, and the factor fits' cut grid
+against the fit of the whole grid."""
 
 import collections
 import functools
@@ -17,6 +18,7 @@ import pytest
 from spectra_census import algebra
 from spectra_census import census as cn
 from spectra_census import cli
+from spectra_census import fitting as ft
 from spectra_census import group as gr
 from spectra_census import regions as rg
 from spectra_census import reps as rp
@@ -448,3 +450,57 @@ def test_manifest_profile_block(tmp_path):
     assert profiles[0]["defect_constants"] == profile["defect_constants"]
     assert 0 < profiles[0]["class_leaves"] < _classes(9)
     assert _cli_run(tmp_path, "cj", jordan, dump=True)[1]["profile"] == profiles[0]
+
+
+# ---------------------------------------------------------------------------
+# the factor fits' cut grid
+
+FACTOR_GRIDS = {
+    "ends low": np.arange(1.017, 8.0, 0.5),  # below c1 (L_max - 2) from L_max 6 on
+    "starts high": np.arange(30.017, 40.0, 0.5),  # above it up to L_max 10
+    "fine": np.arange(0.013, 40.0, 0.1),
+    "correlate": cli.parse_grid({"t_min": 2.037, "t_max": 40.0, "step": 0.5}),
+}
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("L_max", [1, 2, 3, 5, 8, 10])
+@pytest.mark.parametrize("name,index", [("two_factor_rep", 0), ("two_factor_rep", 1), ("complex_pair", 0)])
+def test_factor_fit_equals_fit_of_whole_grid(request, name, index, L_max):
+    rep = request.getfixturevalue(name)
+    sub = rp.Representation(k=rep.k, factors=(rep.factors[index],))
+    bound = cn._generator_norm(sub, cn._factor_images(sub)) * 8
+    assert FACTOR_GRIDS["ends low"][-1] < bound < FACTOR_GRIDS["starts high"][0]
+    ray = cn.CoordinateRayFamily(0, 1)
+    for label, grid in FACTOR_GRIDS.items():
+        for workers in (1, 3):
+            got = _outcome(lambda: ft.factor_critical_exponent(rep, index, grid, L_max, workers=workers))
+            want = _outcome(
+                lambda: ft.fit_growth(cn.census_cartan(sub, ray, grid, L_max, workers=workers), fix_alpha=0.0)
+            )
+            assert got == want, (label, workers)
+
+
+def test_factor_fit_refuses_an_unsorted_grid(real_pair):
+    # cut after its first point above c1 (L_max - 2), this grid would be sorted
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ft.factor_critical_exponent(real_pair, 0, [1.0, 50.0, 3.0], 8)
+
+
+def test_correlate_factor_walks_stop_at_the_fit_horizon(tmp_path):
+    doc = dict(json.loads((CONFIGS[0].parent / "correlate_pair.json").read_text()), L_max=10)
+    manifest = _cli_run(tmp_path, "co", doc)[1]
+    rep = cli.parse_representation(doc["representation"], tmp_path)
+    whole = {}
+    grid = cli.parse_grid(doc["factor_t_grid"])
+    for factor in rep.factors:
+        sub = rp.Representation(k=rep.k, factors=(factor,))
+        cn.census_cartan(sub, cn.CoordinateRayFamily(0, 1), grid, 10, profile=whole)
+    assert 0 < manifest["profile"]["cartan_leaves"] < whole["cartan_leaves"] / 10
