@@ -144,15 +144,6 @@ def inverse(g: RenormMatrix) -> RenormMatrix:
     return RenormMatrix(entries, log_scale, g.field)
 
 
-def power(g: RenormMatrix, n: int) -> RenormMatrix:
-    if n < 1:
-        raise ValueError("power expects n >= 1")
-    out = g
-    for _ in range(n - 1):
-        out = mul(out, g)
-    return out
-
-
 def conjugate(h: RenormMatrix, g: RenormMatrix) -> RenormMatrix:
     return mul(mul(h, g), inverse(h))
 

@@ -13,15 +13,18 @@ gates the representation, refuses an L_max below 1, validates the grid,
 builds the generator images and the pruning bound once, picks the shard
 task from the kind, runs it over the worker shards (_run_sharded), adds
 the evaluated Cartan leaves or classes to a profile and computes the
-horizon.  The public entries only wrap its counts: one family's first row
-as a CountSeries (_series), or nothing but the horizon.  Each shard task,
-_jordan_partial, _cartan_partial or _box_partial, is one call of
-_partial, which feeds one shard of the walk's stream to _tally, the one
-chunk loop; they keep their names because the perfbench tracer wraps
-them by name and counts their spans as shard busy time.  The word
-budget is not a parameter: group._check_budget reads
-SPECTRA_CENSUS_MAX_WORDS, or DEFAULT_BUDGET, where each stream starts,
-and _census before it builds the bound or forks.
+horizon.  Every count a census takes is a row of one record (_Partial),
+which shards merge by one rule; the public entries only read its rows:
+one family's first row as a CountSeries (_series), the holonomy sector
+rows as histograms (census_box), or nothing but the horizon.  The shard
+tasks _jordan_partial, _cartan_partial and _box_partial take _partial's
+argument list, the shard last: each is one call of _partial, which feeds
+one shard of the walk's stream to _tally, the one chunk loop, and they
+keep their names because the perfbench tracer wraps them by name and
+counts their spans as shard busy time.  The word budget is not a
+parameter: group._check_budget reads SPECTRA_CENSUS_MAX_WORDS, or
+DEFAULT_BUDGET, where each stream starts, and _census before it builds
+the bound or forks.
 
 One walk (_walk) feeds every census, ladder, horizon and probe: it goes
 depth-first down the prefix tree of the reduced words to L_max, once,
@@ -58,7 +61,7 @@ reaches is evaluated and handed to the families, which count nothing
 beyond their reach.  A truncated tube (which has no reach) and the
 dependence probe walk everything, and so do iter_word_chunks and
 iter_class_chunks, the streams that the CLI's --dump-spectra writes out
-after the census.
+after the census; both yield _stream's chunks, of one shape.
 """
 
 from __future__ import annotations
@@ -480,16 +483,15 @@ def _stream(rep, L_max: int, shard=(0, 1), bound=None, classes: bool = False, im
 
 
 def iter_word_chunks(rep, L_max: int):
-    """Yields (letters, mu (m,d)) over all reduced words of length 1..L_max,
-    one chunk per block of the walk: within a length in word-index order,
-    the lengths interleaved in walk order."""
-    for letters, mu, *_ in _stream(rep, L_max):
-        yield letters, mu
+    """Yields _stream's (letters, mu (m,d), None, None) over all reduced
+    words of length 1..L_max, one chunk per block of the walk: within a
+    length in word-index order, the lengths interleaved in walk order."""
+    yield from _stream(rep, L_max)
 
 
 def iter_class_chunks(rep, L_max: int):
-    """Yields (letters, lam (m,d), holos (m,d) or None, primitive (m,)) over
-    canonical necklaces of core length 1..L_max, one per conjugacy class.
+    """Yields _stream's (letters, lam (m,d), holos (m,d) or None, primitive
+    (m,)) over canonical necklaces of core length 1..L_max, one per class.
 
     Each chunk holds the necklaces of one length from one run of the walk,
     in word-index order; lengths interleave in walk order.
@@ -524,12 +526,32 @@ def _horizon(c_min: float, L_max: int, t_max: float) -> float:
     return max(0.0, min(raw, t_max))
 
 
+def _horizon_grid(rep, t_grid, L_max: int):
+    """t_grid cut after its first point above _horizon(c1, L_max, inf), with
+    _Pruning's margin: no Cartan census of rep to L_max has a larger t_trust,
+    since stratum 1 is always walked and so c_min_hat <= c1 = _generator_norm.
+    The point kept past the bound keeps _horizon's cap min(raw, grid[-1]) at
+    the whole grid's t_trust, so every count up to it is the same, while the
+    census, pruned at the cut grid's last T, walks only the words that reach
+    it.  A grid with no point past the bound is returned whole, and one that
+    is not strictly increasing as given, for the census to refuse."""
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
+        return t_grid
+    c1 = _generator_norm(rep, _factor_images(rep))
+    bound = _horizon(c1, L_max, math.inf) * (1.0 + _Pruning.MARGIN) + _Pruning.MARGIN
+    return grid[: np.searchsorted(grid, bound, side="right") + 1]
+
+
 @dataclass
 class _Partial:
+    """One census record: counts (rows, grid), the family rows and then, with
+    sector edges, one row per complex factor and sector (_tally); c_min the
+    minimal stretch per letter; leaves the Cartan or Jordan vectors evaluated."""
+
     counts: np.ndarray
     c_min: float
-    histograms: Optional[np.ndarray] = None  # (d, n_grid, n_sectors)
-    leaves: int = 0  # Cartan or Jordan vectors evaluated
+    leaves: int = 0
 
 
 class _Pruning:
@@ -645,16 +667,16 @@ def _tally(rep, chunks, families, grid, primitive_only, edges) -> _Partial:
     chunks yields _stream's nonempty (letters, X, holos or None, primitive
     or None).  Per chunk it adds len(X) to the leaves, folds the minimal
     stretch per letter into c_min, adds each family's count_grid into its
-    block of counts (one row, or family.rows), and, when sector edges are
-    given, adds per complex factor and holonomy sector the first family's
-    count_grid of that sector's rows.
+    rows of counts (one row, or family.rows), and, when sector edges are
+    given, adds the first family's count_grid of each holonomy sector's
+    items into one row per complex factor and sector, factor-major, below.
     """
     spans = np.cumsum([0] + [getattr(f, "rows", 1) for f in families])
-    counts = np.zeros((spans[-1], grid.size), dtype=np.int64)
-    hist = None if edges is None else np.zeros((rep.d, grid.size, len(edges) - 1), dtype=np.int64)
+    sectors = 0 if edges is None else len(edges) - 1
+    complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX] if sectors else []
+    counts = np.zeros((spans[-1] + len(complex_factors) * sectors, grid.size), dtype=np.int64)
     c_min = math.inf
     leaves = 0
-    complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
     for letters, X, holos, primitive in chunks:
         leaves += len(X)
         norms = np.sqrt(_row_sq_sum(X))
@@ -663,12 +685,11 @@ def _tally(rep, chunks, families, grid, primitive_only, edges) -> _Partial:
         rows = X[keep]
         for start, stop, family in zip(spans, spans[1:], families):
             counts[start:stop] += family.count_grid(rows, grid)
-        if hist is not None:
-            for i in complex_factors:
-                sector = np.clip(np.searchsorted(edges, holos[keep, i], side="right") - 1, 0, len(edges) - 2)
-                for s in range(len(edges) - 1):
-                    hist[i, :, s] += families[0].count_grid(rows[sector == s], grid)
-    return _Partial(counts, c_min, hist, leaves)
+        for j, i in enumerate(complex_factors):
+            sector = np.clip(np.searchsorted(edges, holos[keep, i], side="right") - 1, 0, sectors - 1)
+            for s in range(sectors):
+                counts[spans[-1] + j * sectors + s] += families[0].count_grid(rows[sector == s], grid)
+    return _Partial(counts, c_min, leaves)
 
 
 def _partial(rep, families, grid, L_max, classes, primitive_only, edges, images, bound, shard) -> _Partial:
@@ -678,16 +699,17 @@ def _partial(rep, families, grid, L_max, classes, primitive_only, edges, images,
     return _tally(rep, chunks, families, grid, primitive_only, edges)
 
 
-def _jordan_partial(rep, families, grid, L_max, primitive_only, images, bound, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, True, primitive_only, None, images, bound, shard)
+# the three walks' shard tasks, by the names the tracer times
+def _jordan_partial(*args) -> _Partial:
+    return _partial(*args)
 
 
-def _cartan_partial(rep, families, grid, L_max, images, bound, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, False, False, None, images, bound, shard)
+def _cartan_partial(*args) -> _Partial:
+    return _partial(*args)
 
 
-def _box_partial(rep, families, grid, L_max, primitive_only, edges, images, bound, shard) -> _Partial:
-    return _partial(rep, families, grid, L_max, True, primitive_only, edges, images, bound, shard)
+def _box_partial(*args) -> _Partial:
+    return _partial(*args)
 
 
 def _serve(task: Callable, shard, fd: int):
@@ -709,7 +731,7 @@ def _serve(task: Callable, shard, fd: int):
 
 def _run_sharded(task: Callable, workers: int) -> _Partial:
     """task(shard) over the shards (w, workers), w = 0..workers-1, of the
-    walk, merged: counts, histograms and leaves summed, c_min the least.
+    walk, merged into one _Partial: counts and leaves summed, c_min least.
 
     One worker runs task((0, 1)) in this process and never forks.  With
     more, the process forks one child per shard 1..workers-1, walks shard 0
@@ -763,10 +785,7 @@ def _run_sharded(task: Callable, workers: int) -> _Partial:
             os.waitpid(pid, 0)
         for r in pipes:
             os.close(r)
-    hist = None if parts[0].histograms is None else sum(p.histograms for p in parts)
-    return _Partial(
-        sum(p.counts for p in parts), min(p.c_min for p in parts), hist, sum(p.leaves for p in parts)
-    )
+    return _Partial(sum(p.counts for p in parts), min(p.c_min for p in parts), sum(p.leaves for p in parts))
 
 
 def _census(rep, kind, families, grid, L_max, workers, force, edges=None, profile=None):
@@ -776,8 +795,8 @@ def _census(rep, kind, families, grid, L_max, workers, force, edges=None, profil
     kind picks the shard task: _cartan_partial for KIND_CARTAN, else
     _jordan_partial, or _box_partial when sector edges are given, counting
     primitive classes only for KIND_JORDAN_PRIMITIVE.  The generator images
-    and the pruning bound are built here, once, and handed to every shard
-    task.  The horizon is capped at the grid's last T, and uncapped without
+    and the pruning bound are built here, once, and handed to the task in
+    its one argument list.  The horizon is capped at the grid's last T, and uncapped without
     families, where the grid is not read.  When profile is given, a Cartan
     walk adds its evaluated leaves to profile["cartan_leaves"], and a class
     walk its evaluated classes to profile["class_leaves"].
@@ -789,18 +808,14 @@ def _census(rep, kind, families, grid, L_max, workers, force, edges=None, profil
     if families and (grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0)):
         raise ValueError("t_grid must be a nonempty strictly increasing 1-d array")
     _check_budget(rep.k, L_max)  # before the bound's walk and any fork
-    primitive_only = kind == KIND_JORDAN_PRIMITIVE
+    classes, primitive_only = kind != KIND_CARTAN, kind == KIND_JORDAN_PRIMITIVE
     images = _factor_images(rep)
-    bound = _Pruning.of(rep, families, grid, L_max, images, kind != KIND_CARTAN)  # once, before any fork
-    if kind == KIND_CARTAN:
-        task = functools.partial(_cartan_partial, rep, families, grid, L_max)
-    elif edges is None:
-        task = functools.partial(_jordan_partial, rep, families, grid, L_max, primitive_only)
-    else:
-        task = functools.partial(_box_partial, rep, families, grid, L_max, primitive_only, edges)
-    part = _run_sharded(functools.partial(task, images, bound), workers)
+    bound = _Pruning.of(rep, families, grid, L_max, images, classes)  # once, before any fork
+    task = _cartan_partial if not classes else _jordan_partial if edges is None else _box_partial
+    args = (rep, families, grid, L_max, classes, primitive_only, edges, images, bound)
+    part = _run_sharded(functools.partial(task, *args), workers)
     if profile is not None:
-        key = "cartan_leaves" if kind == KIND_CARTAN else "class_leaves"
+        key = "class_leaves" if classes else "cartan_leaves"
         profile[key] = profile.get(key, 0) + part.leaves
     return part, _horizon(part.c_min, L_max, float(grid[-1]) if families else math.inf)
 
@@ -876,12 +891,13 @@ def census_box(
     holonomy sector per complex factor.
 
     Returns (CountSeries, histograms) where histograms is None without
-    sectors, else {factor_index: [HolonomyHistogram per grid point]}.
-    Sectors on a representation with no complex factor raise
-    algebra.RealFactor before any walk.  The walk is pruned to the box's
-    reach and profiled as in census_jordan.
+    sectors, else {factor_index: [HolonomyHistogram per grid point]}, read
+    from the sector rows below the box's row.  Sectors on a representation
+    with no complex factor raise algebra.RealFactor before any walk.  The
+    walk is pruned to the box's reach and profiled as in census_jordan.
     """
     family = BoxWindowFamily(direction, widths)
+    complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
     edges = None
     if sectors is not None:
         edges = np.asarray(sectors, dtype=float)
@@ -889,26 +905,25 @@ def census_box(
             raise ValueError("sectors must be an increasing sequence of angles")
         if abs(edges[0]) > 1e-12 or abs(edges[-1] - math.pi) > 1e-12:
             raise ValueError("sector edges must cover [0, pi] exactly")
-        if all(f.field != algebra.COMPLEX for f in rep.factors):
+        if not complex_factors:
             raise algebra.RealFactor("holonomy is only defined for complex factors")
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
     series, part = _series(rep, kind, family, t_grid, L_max, workers, force, edges, profile)
     if edges is None:
         return series, None
-    histograms = {}
-    for i, f in enumerate(rep.factors):
-        if f.field != algebra.COMPLEX:
-            continue
-        histograms[i] = [
+    rows = part.counts[1:].reshape(len(complex_factors), edges.size - 1, len(series.t_grid))
+    return series, {
+        i: [
             HolonomyHistogram(
                 sector_edges=tuple(edges),
-                counts=tuple(int(c) for c in part.histograms[i, ti]),
+                counts=tuple(int(c) for c in hist[:, ti]),
                 factor=i,
                 time=t,
             )
             for ti, t in enumerate(series.t_grid)
         ]
-    return series, histograms
+        for i, hist in zip(complex_factors, rows)
+    }
 
 
 def completeness_horizon(

@@ -379,10 +379,8 @@ def _series_run(config, args, out: Path, rep) -> dict:
         series = census.census_cartan(rep, family, grid, L_max, **args.walk)
     if args.dump_spectra:
         # every word or class, from one unpruned walk in this process
-        if series.kind == census.KIND_CARTAN:
-            chunks = ((letters, mu, None) for letters, mu in census.iter_word_chunks(rep, L_max))
-        else:
-            chunks = (chunk[:3] for chunk in census.iter_class_chunks(rep, L_max))
+        stream = census.iter_word_chunks if series.kind == census.KIND_CARTAN else census.iter_class_chunks
+        chunks = (chunk[:3] for chunk in stream(rep, L_max))
         write_spectra_csv(chunks, out / "spectra.csv", rep.d, series.kind)
     write_series_csv(series, out / "series.csv")
     emit_plot_data(out / "series.dat", ["T", "count", "trusted"], _series_rows(series))

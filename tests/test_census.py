@@ -207,13 +207,33 @@ def test_box_huge_widths_cover_lower_orthant(two_factor_rep):
         assert np.array_equal(mask, direct)
 
 
-def test_holonomy_sectors_partition(complex_pair):
+def test_holonomy_sectors_partition(complex_pair, real_pair):
+    # each complex factor's sector rows reach census_box's histograms under
+    # that factor's index, wherever the factor stands
     edges = np.linspace(0.0, math.pi, 9)
-    grid = np.arange(2.0, 18.0, 0.71) + 0.013
-    series, hists = cn.census_box(complex_pair, (1.0,), (0.9,), grid, 8, sectors=edges)
-    assert set(hists) == {0}
-    for h, total in zip(hists[0], series.counts):
-        assert sum(h.counts) == total
+    grid = np.arange(2.0, 30.0, 0.71) + 0.013
+    second = rp.schottky_pair(5.0, 3.0, "complex", twist=0.4)
+    cases = [
+        (complex_pair, [1.0], [0.9], [0]),
+        (rp.join(real_pair, complex_pair), [1.0, 1.0], [1.5, 2.0], [1]),
+        (rp.join(complex_pair, second), [1.0, 1.4], [1.5, 2.0], [0, 1]),
+    ]
+    for rep, direction, widths, complex_factors in cases:
+        v = rg.unit(direction)
+        series, hists = cn.census_box(rep, v, widths, grid, 8, sectors=edges)
+        assert sorted(hists) == complex_factors
+        assert sum(series.counts) > 0
+        for i in complex_factors:
+            for h, total in zip(hists[i], series.counts):
+                assert sum(h.counts) == total
+        chunks = list(cn.iter_class_chunks(rep, 8))
+        lam = np.concatenate([c[1] for c in chunks])
+        holos = np.concatenate([c[2] for c in chunks])
+        lo, hi = cn.BoxWindowFamily(v, widths).window(lam)
+        want = _per_grid_holonomy_bins(lo, hi, holos, grid, edges, complex_factors, rep.d)
+        for i in complex_factors:
+            assert [h.counts for h in hists[i]] == [tuple(int(c) for c in row) for row in want[i]]
+            assert [h.factor for h in hists[i]] == [i] * grid.size
 
 
 def test_sectors_need_a_complex_factor(real_pair, monkeypatch):
@@ -277,8 +297,11 @@ def test_holonomy_bins_match_per_grid_loop(primitive_only):
         keep = primitive if primitive_only else slice(None)
         want = want + _per_grid_holonomy_bins(lo[keep], hi[keep], holos[keep], grid, edges, [0, 2], 3)
     part = cn._tally(rep, iter(chunks), [_Window()], grid, primitive_only, edges)
-    assert part.histograms.dtype == np.int64
-    assert np.array_equal(part.histograms, want)
+    assert part.counts.dtype == np.int64
+    # the box's row, then one row per sector of complex factor 0, then of 2
+    assert part.counts.shape == (1 + 2 * (len(edges) - 1), grid.size)
+    sector_rows = part.counts[1:].reshape(2, len(edges) - 1, grid.size)
+    assert np.array_equal(sector_rows, want[[0, 2]].transpose(0, 2, 1))
     assert want.sum() > 0
 
 

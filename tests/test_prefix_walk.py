@@ -216,9 +216,9 @@ def test_cartan_path_decodes_no_word(monkeypatch, two_factor_rep):
     assert cn.completeness_horizon(two_factor_rep, 7, "cartan")[1] == series.c_min_hat
     # the word stream reads the letters the walk carries, and sees every word
     rows = list(cn.iter_word_chunks(two_factor_rep, 7))
-    assert sum(len(letters) for letters, _ in rows) == gr.total_words(2, 7)
+    assert sum(len(letters) for letters, *_ in rows) == gr.total_words(2, 7)
     images = cn._factor_images(two_factor_rep)
-    for letters, X in rows:
+    for letters, X, *_ in rows:
         mu = np.column_stack([cn.cartan_chunk(*cn.evaluate_chunk(letters, *f)) for f in images])
         assert np.array_equal(X.view(np.uint8), mu.view(np.uint8))
 

@@ -77,7 +77,7 @@ def _classes(L_max):
 def _mu_by_stratum(rep, L_max):
     """Per word length n, (letters, mu) of every reduced word in index order."""
     out = {}
-    for letters, mu in cn.iter_word_chunks(rep, L_max):
+    for letters, mu, *_ in cn.iter_word_chunks(rep, L_max):
         out.setdefault(letters.shape[1], []).append((letters, mu[:, 0]))
     return {n: tuple(np.concatenate(x) for x in zip(*parts)) for n, parts in out.items()}
 
@@ -270,7 +270,7 @@ def _class_run(rep, family, workers, primitive=False, L_max=9):
     profile = {}
     part, t_trust = cn._census(rep, kind, (family,), grid, L_max, workers, False, edges=edges,
                                profile=profile)
-    return part.counts, part.histograms, part.c_min, t_trust, profile["class_leaves"]
+    return part.counts, part.c_min, t_trust, profile["class_leaves"]
 
 
 @pytest.mark.parametrize("rep_name", ["two_factor_rep", "mixed_pair", "complex_pair"])
@@ -282,20 +282,22 @@ def test_pruned_class_census_equals_unpruned(request, monkeypatch, rep_name):
     pruned = {}
     for name, family, primitive in cases:
         runs = [_class_run(rep, family, w, primitive) for w in (1, 2, 3)]
-        assert all(r[4] == runs[0][4] for r in runs)  # the same classes in every sharding
-        assert (runs[0][4] < total) == (name != "truncated"), name
+        assert all(r[3] == runs[0][3] for r in runs)  # the same classes in every sharding
+        assert (runs[0][3] < total) == (name != "truncated"), name
         pruned[name] = runs
     _unpruned(monkeypatch)
+    n_complex = sum(f.field == algebra.COMPLEX for f in rep.factors)
     for name, family, primitive in cases:
-        counts, hist, c_min, t_trust, leaves = _class_run(rep, family, 1, primitive)
+        counts, c_min, t_trust, leaves = _class_run(rep, family, 1, primitive)
         assert leaves == total
-        assert (hist is not None) == (name == "box")
-        if hist is not None and rep_name != "two_factor_rep":
-            assert hist.sum() > 0
+        # the box's holonomy sector rows, 5 per complex factor, follow its row
+        sector_rows = 5 * n_complex if name == "box" else 0
+        assert counts.shape[0] == getattr(family, "rows", 1) + sector_rows, name
+        if sector_rows:
+            assert counts[1:].sum() > 0
         for got in pruned[name]:
             assert np.array_equal(got[0], counts), name
-            assert (hist is None and got[1] is None) or np.array_equal(got[1], hist), name
-            assert got[2] == c_min and got[3] == t_trust, name
+            assert got[1] == c_min and got[2] == t_trust, name
 
 
 @pytest.mark.parametrize("rep_name", ["two_factor_rep", "complex_pair"])

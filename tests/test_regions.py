@@ -329,7 +329,7 @@ def test_aperture_ladder_matches_outer_product_formula(c, data):
 @pytest.mark.parametrize("rep_name", ["two_factor_rep", "complex_pair"])
 def test_aperture_ladder_matches_outer_product_formula_on_census_data(request, rep_name):
     rep = request.getfixturevalue(rep_name)
-    X = np.concatenate([mu for _, mu in cn.iter_word_chunks(rep, 8)])
+    X = np.concatenate([mu for _, mu, *_ in cn.iter_word_chunks(rep, 8)])
     d = X.shape[1]
     grid = np.unique(np.concatenate([np.linspace(0.0, 40.0, 57), np.sqrt(np.sum(X[::97] ** 2, axis=1))]))
     v = rg.unit([1.0, 1.4][:d])

@@ -187,7 +187,7 @@ def test_anosov_linear_growth(real_pair):
     from spectra_census import census as cn
 
     worst = math.inf
-    for letters, mu in cn.iter_word_chunks(real_pair, 10):
+    for letters, mu, *_ in cn.iter_word_chunks(real_pair, 10):
         worst = min(worst, float(np.min(mu[:, 0] / letters.shape[1])))
     assert worst > 0.3
 
