@@ -8,23 +8,23 @@ family, or per aperture for a ladder family.
 
 _census is the one census driver: census_jordan, census_cartan,
 census_box, the growth-indicator ladder (fitting) and completeness_horizon
-all call it, with a census kind and the families to count.  It alone
-gates the representation, refuses an L_max below 1, validates the grid,
-builds the generator images and the pruning bound once, picks the shard
-task from the kind, runs it over the worker shards (_run_sharded), adds
-the evaluated Cartan leaves or classes to a profile and computes the
-horizon.  Every count a census takes is a row of one record (_Partial),
-which shards merge by one rule; the public entries only read its rows:
-one family's first row as a CountSeries (_series), the holonomy sector
-rows as histograms (census_box), or nothing but the horizon.  The shard
-tasks _jordan_partial, _cartan_partial and _box_partial take _partial's
-argument list, the shard last: each is one call of _partial, which feeds
-one shard of the walk's stream to _tally, the one chunk loop, and they
-keep their names because the perfbench tracer wraps them by name and
-counts their spans as shard busy time.  The word budget is not a
-parameter: group._check_budget reads SPECTRA_CENSUS_MAX_WORDS, or
-DEFAULT_BUDGET, where each stream starts, and _census before it builds
-the bound or forks.
+all call it, with a census kind and the families to count.  It alone gates
+the representation, refuses an L_max below 1, checks the grid
+(_checked_grid), builds the generator images and the pruning bound once,
+picks the shard task from the kind, runs it over the worker shards
+(_run_sharded), adds the evaluated Cartan leaves or classes to a profile
+and computes the horizon.  Every count a census takes is a row of one
+record (_Partial), which shards merge by one rule; the public entries only
+read its rows: one family's first row as a CountSeries (_series), the
+holonomy sector rows as histograms (census_box), or nothing but the
+horizon.  The shard tasks _jordan_partial, _cartan_partial and
+_box_partial take _partial's argument list, the shard last: each is one
+call of _partial, which feeds one shard of the walk's stream to _tally,
+the one chunk loop, and they keep their names because the perfbench tracer
+wraps them by name and counts their spans as shard busy time.  The word
+budget is not a parameter: group._check_budget reads
+SPECTRA_CENSUS_MAX_WORDS, or DEFAULT_BUDGET, where each stream starts, and
+_census before it builds the bound or forks.
 
 One walk (_walk) feeds every census, ladder, horizon and probe: it goes
 depth-first down the prefix tree of the reduced words to L_max, once,
@@ -115,6 +115,26 @@ class WorkerCrashed(SpectraCensusError):
     partial counts."""
 
 
+def _checked_grid(t_grid) -> np.ndarray:
+    """t_grid as a float array, or ValueError unless it is 1-d, nonempty,
+    finite and strictly increasing; the one T-grid rule."""
+    grid = np.asarray(t_grid, dtype=float)
+    if not (grid.ndim == 1 and grid.size and np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ValueError("t_grid must be a nonempty, finite, strictly increasing 1-d array")
+    return grid
+
+
+def _checked_edges(sectors) -> np.ndarray:
+    """Holonomy sector edges as a float array, or ValueError unless there are
+    at least two, strictly increasing from 0 to pi, each end within 1e-12
+    inclusive (so every edge is finite); the one sector-edge rule."""
+    e = np.asarray(sectors, dtype=float)
+    if not (e.ndim == 1 and e.size >= 2 and np.all(np.diff(e) > 0)
+            and abs(e[0]) <= 1e-12 and abs(e[-1] - math.pi) <= 1e-12):
+        raise ValueError("sector edges must increase strictly from 0 to pi, within 1e-12")
+    return e
+
+
 @dataclass(frozen=True)
 class CountSeries:
     """Counts over a T-grid with a completeness horizon.
@@ -122,7 +142,8 @@ class CountSeries:
     Counts beyond t_trust are reported but untrusted.  The horizon is
     empirical, not certified: it is derived from c_min_hat, the minimal
     stretch per letter over the enumerated items, and nothing bounds the
-    stretch of the longer words the enumeration did not reach.
+    stretch of the longer words the enumeration did not reach.  t_grid
+    must pass _checked_grid.
     """
 
     t_grid: Tuple[float, ...]
@@ -135,12 +156,9 @@ class CountSeries:
     cumulative: bool
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.t_grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("t_grid must be strictly increasing")
-        object.__setattr__(self, "t_grid", grid)
+        object.__setattr__(self, "t_grid", tuple(_checked_grid(self.t_grid).tolist()))
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if len(self.counts) != len(grid):
+        if len(self.counts) != len(self.t_grid):
             raise ValueError("counts and t_grid lengths differ")
         if self.cumulative and any(b < a for a, b in zip(self.counts, self.counts[1:])):
             raise ValueError("cumulative series must have nondecreasing counts")
@@ -152,7 +170,7 @@ class CountSeries:
 
 @dataclass(frozen=True)
 class HolonomyHistogram:
-    """Sector counts of holonomy angles for one factor at one grid time."""
+    """Holonomy sector counts (edges by _checked_edges) for one factor at one grid time."""
 
     sector_edges: Tuple[float, ...]
     counts: Tuple[int, ...]
@@ -160,12 +178,7 @@ class HolonomyHistogram:
     time: float
 
     def __post_init__(self):
-        e = self.sector_edges
-        if len(e) < 2 or any(b <= a for a, b in zip(e, e[1:])):
-            raise ValueError("sector_edges must be strictly increasing")
-        if not (abs(e[0]) < 1e-12 and abs(e[-1] - math.pi) < 1e-12):
-            raise ValueError("sector_edges must cover [0, pi] exactly")
-        if len(self.counts) != len(e) - 1:
+        if len(self.counts) != len(_checked_edges(self.sector_edges)) - 1:
             raise ValueError("need one count per sector")
 
 
@@ -439,13 +452,18 @@ def _factor_images(rep: Representation):
     return out
 
 
+def _complex_factors(rep) -> list:
+    """rep's complex factors' indices, the order of _tally's sector rows."""
+    return [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
+
+
 def _generator_norm(rep, images, jordan: bool = False) -> float:
     """c1: the smallest norm of a generator's Cartan vector, or with jordan
     its Jordan vector, from images = _factor_images(rep).  Stratum 1 holds
     every generator, so no walk's c_min_hat exceeds it."""
-    fields = [f.field == algebra.COMPLEX for f in rep.factors]
+    cx = _complex_factors(rep)
     one = np.column_stack(
-        [jordan_chunk(P, S, c)[0] if jordan else cartan_chunk(P, S) for (P, S), c in zip(images, fields)]
+        [jordan_chunk(P, S, i in cx)[0] if jordan else cartan_chunk(P, S) for i, (P, S) in enumerate(images)]
     )
     return float(np.min(np.sqrt(_row_sq_sum(one))))
 
@@ -465,7 +483,7 @@ def _stream(rep, L_max: int, shard=(0, 1), bound=None, classes: bool = False, im
     is _factor_images(rep).
     """
     _check_budget(rep.k, L_max)
-    is_complex = [f.field == algebra.COMPLEX for f in rep.factors]
+    cx = _complex_factors(rep)
     images = _factor_images(rep) if images is None else images
     for letters, period, evals in _walk(rep.k, L_max, images, shard, bound, classes):
         X = np.empty((letters.shape[0], rep.d))
@@ -474,9 +492,9 @@ def _stream(rep, L_max: int, shard=(0, 1), bound=None, classes: bool = False, im
                 X[:, i] = cartan_chunk(P, S)
             yield letters, X, None, None
             continue
-        holos = np.full(X.shape, np.nan) if any(is_complex) else None
+        holos = np.full(X.shape, np.nan) if cx else None
         for i, (P, S) in enumerate(evals):
-            X[:, i], h = jordan_chunk(P, S, is_complex[i])
+            X[:, i], h = jordan_chunk(P, S, i in cx)
             if h is not None:
                 holos[:, i] = h
         yield letters, X, holos, period == letters.shape[1]
@@ -533,11 +551,9 @@ def _horizon_grid(rep, t_grid, L_max: int):
     The point kept past the bound keeps _horizon's cap min(raw, grid[-1]) at
     the whole grid's t_trust, so every count up to it is the same, while the
     census, pruned at the cut grid's last T, walks only the words that reach
-    it.  A grid with no point past the bound is returned whole, and one that
-    is not strictly increasing as given, for the census to refuse."""
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
-        return t_grid
+    it.  A grid with no point past the bound is returned whole; one that
+    fails _checked_grid is refused here, before any walk."""
+    grid = _checked_grid(t_grid)
     c1 = _generator_norm(rep, _factor_images(rep))
     bound = _horizon(c1, L_max, math.inf) * (1.0 + _Pruning.MARGIN) + _Pruning.MARGIN
     return grid[: np.searchsorted(grid, bound, side="right") + 1]
@@ -673,7 +689,7 @@ def _tally(rep, chunks, families, grid, primitive_only, edges) -> _Partial:
     """
     spans = np.cumsum([0] + [getattr(f, "rows", 1) for f in families])
     sectors = 0 if edges is None else len(edges) - 1
-    complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX] if sectors else []
+    complex_factors = _complex_factors(rep) if sectors else []
     counts = np.zeros((spans[-1] + len(complex_factors) * sectors, grid.size), dtype=np.int64)
     c_min = math.inf
     leaves = 0
@@ -804,9 +820,7 @@ def _census(rep, kind, families, grid, L_max, workers, force, edges=None, profil
     _gate_validated(rep, force)
     if L_max < 1:
         raise InsufficientData("need at least the length-1 stratum")
-    grid = np.asarray(grid, dtype=float)
-    if families and (grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0)):
-        raise ValueError("t_grid must be a nonempty strictly increasing 1-d array")
+    grid = _checked_grid(grid) if families else np.empty(0)
     _check_budget(rep.k, L_max)  # before the bound's walk and any fork
     classes, primitive_only = kind != KIND_CARTAN, kind == KIND_JORDAN_PRIMITIVE
     images = _factor_images(rep)
@@ -892,36 +906,24 @@ def census_box(
 
     Returns (CountSeries, histograms) where histograms is None without
     sectors, else {factor_index: [HolonomyHistogram per grid point]}, read
-    from the sector rows below the box's row.  Sectors on a representation
-    with no complex factor raise algebra.RealFactor before any walk.  The
-    walk is pruned to the box's reach and profiled as in census_jordan.
+    from the sector rows below the box's row.  A box, sector edges
+    (_checked_edges) or grid that breaks its rule, and sectors on a
+    representation with no complex factor (algebra.RealFactor), are refused
+    before any walk.  The walk is pruned to the box's reach and profiled as
+    in census_jordan.
     """
     family = BoxWindowFamily(direction, widths)
-    complex_factors = [i for i, f in enumerate(rep.factors) if f.field == algebra.COMPLEX]
-    edges = None
-    if sectors is not None:
-        edges = np.asarray(sectors, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("sectors must be an increasing sequence of angles")
-        if abs(edges[0]) > 1e-12 or abs(edges[-1] - math.pi) > 1e-12:
-            raise ValueError("sector edges must cover [0, pi] exactly")
-        if not complex_factors:
-            raise algebra.RealFactor("holonomy is only defined for complex factors")
+    complex_factors = _complex_factors(rep)
+    edges = None if sectors is None else _checked_edges(sectors)
+    if edges is not None and not complex_factors:
+        raise algebra.RealFactor("holonomy is only defined for complex factors")
     kind = KIND_JORDAN_PRIMITIVE if primitive_only else KIND_JORDAN
     series, part = _series(rep, kind, family, t_grid, L_max, workers, force, edges, profile)
     if edges is None:
         return series, None
     rows = part.counts[1:].reshape(len(complex_factors), edges.size - 1, len(series.t_grid))
     return series, {
-        i: [
-            HolonomyHistogram(
-                sector_edges=tuple(edges),
-                counts=tuple(int(c) for c in hist[:, ti]),
-                factor=i,
-                time=t,
-            )
-            for ti, t in enumerate(series.t_grid)
-        ]
+        i: [HolonomyHistogram(tuple(edges), tuple(h.tolist()), i, t) for h, t in zip(hist.T, series.t_grid)]
         for i, hist in zip(complex_factors, rows)
     }
 

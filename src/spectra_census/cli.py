@@ -164,12 +164,17 @@ def parse_region(doc, d: int):
     raise SchemaError(f"unknown region type {rtype!r}")
 
 
+def _dependence(config, rep):
+    """The dependence probe of rep to the config's L_probe, 8 by default."""
+    return reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
+
+
 def _direction(config, rep):
     doc = config.get("direction", "auto")
     if doc == "auto":
         if rep.d != 2:
             raise SchemaError("direction 'auto' needs exactly two factors")
-        dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
+        dep = _dependence(config, rep)
         return regions.unit([1.0, 0.5 * (dep.m_hat + dep.M_hat)]), dep
     return regions.unit(_vector("direction", doc, rep.d)), None
 
@@ -420,8 +425,7 @@ def run_correlate(config, args, out: Path, rep) -> dict:
     grid = parse_grid(config["t_grid"])
     L_max = _integer("L_max", config["L_max"])
     direction, dep = _direction(config, rep)
-    if dep is None:
-        dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
+    dep = dep or _dependence(config, rep)
     widths = _vector("widths", config.get("widths"), rep.d)
     series, _ = census.census_box(rep, direction, widths, grid, L_max, **args.walk)
     write_series_csv(series, out / "box_series.csv")
@@ -528,7 +532,7 @@ def run_report(config, args, out: Path, rep) -> dict:
         lines.append(f"factor {i}: ping-pong {'pass' if r.passed else 'FAIL'} margin={r.margin:.6g}")
     extra = {"validated": all(r.passed for r in reports)}
     if rep.d >= 2:
-        dep = reps.detect_dependence(rep, _integer("L_probe", config.get("L_probe", 8)))
+        dep = _dependence(config, rep)
         lines.append(
             f"dependence probe (core length <= {dep.probe_core_length}, {dep.n_classes} classes): "
             f"rank {dep.rank}/{rep.d} -> {'dependent' if dep.dependent else 'independent'}"

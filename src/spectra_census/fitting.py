@@ -95,9 +95,21 @@ class RatioReport:
     n_points: int
 
 
+def trusted_window(t_trust: float, window: Optional[Tuple[float, float]] = None) -> Tuple[float, float]:
+    """The one trusted-window rule: [t_trust/2, t_trust] by default (below half-horizon,
+    preasymptotics dominate), else window as floats, UntrustedWindow unless it ends
+    at or below t_trust + 1e-9."""
+    if window is None:
+        return 0.5 * t_trust, t_trust
+    t_lo, t_hi = float(window[0]), float(window[1])
+    if not t_hi <= t_trust + 1e-9:
+        raise UntrustedWindow(f"fit window [{t_lo}, {t_hi}] exceeds the trusted horizon {t_trust:.6g}")
+    return t_lo, t_hi
+
+
 def default_window(series: CountSeries) -> Tuple[float, float]:
-    """[T_trust/2, T_trust]: below half-horizon, preasymptotics dominate."""
-    return 0.5 * series.t_trust, series.t_trust
+    """trusted_window's default for the series: [T_trust/2, T_trust]."""
+    return trusted_window(series.t_trust)
 
 
 def restrict_to_positive(series: CountSeries) -> CountSeries:
@@ -122,14 +134,9 @@ def fit_growth(
 
     With fix_alpha given only (delta, log c) are fitted, which is the robust
     mode on short windows where log T is nearly collinear with the constant.
+    The window is trusted_window's, under the series' t_trust.
     """
-    if window is None:
-        window = default_window(series)
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if t_hi > series.t_trust + 1e-9:
-        raise UntrustedWindow(
-            f"fit window [{t_lo}, {t_hi}] exceeds the trusted horizon {series.t_trust:.6g}"
-        )
+    t_lo, t_hi = trusted_window(series.t_trust, window)
     grid = np.asarray(series.t_grid)
     counts = np.asarray(series.counts)
     mask = (grid >= t_lo) & (grid <= t_hi)
@@ -197,7 +204,7 @@ def growth_indicator_ladder(
     if source not in LADDER_SOURCES:
         raise ValueError(f"source must be one of {LADDER_SOURCES}")
     eps = [float(e) for e in epsilons]
-    if not eps or any(b >= a for a, b in zip(eps, eps[1:])) or eps[-1] <= 0.0:
+    if not (eps and all(a > b for a, b in zip(eps, eps[1:])) and eps[-1] > 0.0):
         raise ValueError("epsilons must be positive and strictly decreasing")
     v = regions.unit(direction)
     spec = regions.ConeSpec if source == "jordan-cone" else regions.TubeSpec
@@ -289,15 +296,13 @@ def jordan_cartan_ratio(
     jordan: CountSeries,
     window: Optional[Tuple[float, float]] = None,
 ) -> RatioReport:
-    """Linear fit of the pointwise count ratio N_cartan / N_jordan over T."""
+    """Linear fit of the pointwise count ratio N_cartan / N_jordan over T,
+    on trusted_window's window under the smaller of the two horizons."""
     if cartan.t_grid != jordan.t_grid:
         raise ValueError("series must share the t_grid")
     if cartan.region != jordan.region:
         raise ValueError("series must share the region")
-    if window is None:
-        trust = min(cartan.t_trust, jordan.t_trust)
-        window = (0.5 * trust, trust)
-    t_lo, t_hi = window
+    t_lo, t_hi = trusted_window(min(cartan.t_trust, jordan.t_trust), window)
     grid = np.asarray(cartan.t_grid)
     mask = (grid >= t_lo) & (grid <= t_hi)
     if not mask.any():
@@ -318,6 +323,6 @@ def jordan_cartan_ratio(
         slope=float(coef[0]),
         intercept=float(coef[1]),
         r_squared=r_squared,
-        window=(float(t_lo), float(t_hi)),
+        window=(t_lo, t_hi),
         n_points=int(mask.sum()),
     )

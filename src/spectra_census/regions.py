@@ -36,9 +36,9 @@ def _as_unit(direction: Sequence[float], positive: bool = True) -> Tuple[float, 
     if v.ndim != 1 or v.size < 1:
         raise ValueError("direction must be a 1-d vector")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > UNIT_TOL:
+    if not abs(nrm - 1.0) <= UNIT_TOL:
         raise ValueError(f"direction must be a unit vector (norm {nrm!r})")
-    if positive and np.any(v <= 0.0):
+    if positive and not np.all(v > 0.0):
         raise ValueError("direction must have strictly positive coordinates")
     return tuple(float(x) for x in v)
 
@@ -52,6 +52,16 @@ def unit(direction: Sequence[float]) -> Tuple[float, ...]:
     return tuple(float(x) for x in v / nrm)
 
 
+def _box_sides(direction: Sequence[float], widths: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """The one box rule: direction and widths as float arrays, or ValueError
+    unless both are 1-d, of one length, finite and positive."""
+    v, w = np.asarray(direction, dtype=float), np.asarray(widths, dtype=float)
+    if not (v.ndim == 1 and v.shape == w.shape
+            and np.all((v > 0.0) & (v < math.inf)) and np.all((w > 0.0) & (w < math.inf))):
+        raise ValueError("direction and widths must be 1-d, of one length, finite and positive")
+    return v, w
+
+
 def _check_point(x, d: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (d,):
@@ -59,8 +69,16 @@ def _check_point(x, d: int) -> np.ndarray:
     return arr
 
 
+class _Spec:
+    """A region spec of R^d, d the length of its direction."""
+
+    @property
+    def d(self) -> int:
+        return len(self.direction)
+
+
 @dataclass(frozen=True)
-class TubeSpec:
+class TubeSpec(_Spec):
     """Closed epsilon-neighborhood of the line R*v, shifted by offset, inside R_+^d."""
 
     direction: Tuple[float, ...]
@@ -69,7 +87,7 @@ class TubeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "direction", _as_unit(self.direction))
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         off = self.offset
         if off is None:
@@ -79,13 +97,9 @@ class TubeSpec:
             raise ValueError("offset dimension differs from direction")
         object.__setattr__(self, "offset", off)
 
-    @property
-    def d(self) -> int:
-        return len(self.direction)
-
 
 @dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(_Spec):
     """Open cone of half-angle theta around the ray R_+ v, inside R_+^d."""
 
     direction: Tuple[float, ...]
@@ -96,40 +110,26 @@ class ConeSpec:
         if not 0.0 < self.half_angle < math.pi / 2:
             raise ValueError("half_angle must lie in (0, pi/2)")
 
-    @property
-    def d(self) -> int:
-        return len(self.direction)
-
 
 @dataclass(frozen=True)
-class BoxWindow:
-    """Moving box prod_i [v_i T, v_i T + eps_i]; closed on both sides."""
+class BoxWindow(_Spec):
+    """Moving box prod_i [v_i T, v_i T + eps_i]; closed on both sides.
+    direction and widths must pass _box_sides, and time be nonnegative."""
 
     direction: Tuple[float, ...]
     widths: Tuple[float, ...]
     time: float
 
     def __post_init__(self):
-        v = tuple(float(x) for x in self.direction)
-        w = tuple(float(x) for x in self.widths)
-        if len(v) != len(w):
-            raise ValueError("direction and widths dimensions differ")
-        if any(x <= 0.0 for x in v):
-            raise ValueError("direction coordinates must be strictly positive")
-        if any(x <= 0.0 for x in w):
-            raise ValueError("widths must be strictly positive")
-        if self.time < 0.0:
+        v, w = _box_sides(self.direction, self.widths)
+        if not self.time >= 0.0:
             raise ValueError("time must be nonnegative")
-        object.__setattr__(self, "direction", v)
-        object.__setattr__(self, "widths", w)
-
-    @property
-    def d(self) -> int:
-        return len(self.direction)
+        object.__setattr__(self, "direction", tuple(v.tolist()))
+        object.__setattr__(self, "widths", tuple(w.tolist()))
 
 
 @dataclass(frozen=True)
-class TruncatedTubeSpec:
+class TruncatedTubeSpec(_Spec):
     """Tube slab {t v + u : u in K, 0 <= t <= T + b(u)} inside R_+^d.
 
     K is an axis-aligned box in the orthocomplement of v, described by an
@@ -160,12 +160,8 @@ class TruncatedTubeSpec:
         if len(ivals) != d - 1 or any(a > b for a, b in ivals):
             raise ValueError("need one ordered interval per basis axis")
         object.__setattr__(self, "intervals", ivals)
-        if self.height <= 0.0:
+        if not self.height > 0.0:
             raise ValueError("height must be positive")
-
-    @property
-    def d(self) -> int:
-        return len(self.direction)
 
 
 def in_tube(x, spec: TubeSpec) -> bool:
@@ -230,11 +226,10 @@ def box_as_tube_difference(
     b1 = min_i((eps_i - u_i) / v_i); sliding the box to T v shifts both
     truncation profiles by T, so box membership is exactly
     "below T + b1" minus "below T + b2" (up to the measure-zero lower face).
+    direction must be a unit vector, and with widths pass _box_sides.
     """
-    v = np.asarray(_as_unit(direction), dtype=float)
-    eps = np.asarray(widths, dtype=float)
-    if eps.shape != v.shape or np.any(eps <= 0.0):
-        raise ValueError("widths must be positive and match the direction dimension")
+    v, eps = _box_sides(direction, widths)
+    v = np.asarray(_as_unit(v), dtype=float)
     basis = orthocomplement_basis(v)
 
     corners = []
@@ -266,7 +261,7 @@ def region_id(spec) -> str:
         return base + "]"
     if isinstance(spec, ConeSpec):
         return f"cone[v=({fmt(spec.direction)});theta={spec.half_angle:.6g}]"
-    if isinstance(spec, BoxWindow):
+    if isinstance(spec, (BoxWindow, BoxWindowFamily)):
         return f"box[v=({fmt(spec.direction)});eps=({fmt(spec.widths)})]"
     raise TypeError(f"no region id for {type(spec).__name__}")
 
@@ -371,22 +366,14 @@ class ConeBallFamily(_Ball):
 
 
 class BoxWindowFamily:
-    """Moving box prod_i [v_i T, v_i T + eps_i]; not cumulative."""
+    """Moving box prod_i [v_i T, v_i T + eps_i]; not cumulative.
+    direction and widths must pass _box_sides."""
 
     cumulative = False
 
     def __init__(self, direction: Sequence[float], widths: Sequence[float]):
-        v = np.asarray(direction, dtype=float)
-        w = np.asarray(widths, dtype=float)
-        if v.shape != w.shape or v.ndim != 1:
-            raise ValueError("direction and widths must be 1-d and equal length")
-        if np.any(v <= 0.0) or np.any(w <= 0.0):
-            raise ValueError("direction and widths must be strictly positive")
-        self.direction = v
-        self.widths = w
-        self.region_id = region_id(
-            BoxWindow(tuple(v), tuple(w), 0.0)
-        )
+        self.direction, self.widths = _box_sides(direction, widths)
+        self.region_id = region_id(self)
 
     def reach(self, t_max: float) -> Tuple[str, float]:
         # a nonnegative row in the box at some T <= t_max lies below

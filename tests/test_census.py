@@ -247,6 +247,47 @@ def test_sectors_need_a_complex_factor(real_pair, monkeypatch):
         cn.census_box(real_pair, (1.0,), (0.9,), GRID, 8, sectors=edges)
 
 
+def _no_walk(*args, **kwargs):
+    raise AssertionError("walked")
+
+
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_nan_grid_point_refused_before_any_walk(two_factor_rep, tube_family, monkeypatch, at):
+    # a NaN fails every comparison: a grid with one used to count every word
+    # walked at that point, or to walk the whole census and then fail
+    grid = np.array([4.0, 20.0, 30.0])
+    grid[at] = math.nan
+    monkeypatch.setattr(cn, "_walk", _no_walk)
+    v = rg.unit([1.0, 1.4])
+    calls = [
+        lambda: cn.census_cartan(two_factor_rep, tube_family, grid, 8),
+        lambda: cn.census_jordan(two_factor_rep, tube_family, grid, 8),
+        lambda: cn.census_box(two_factor_rep, v, [1.5, 2.0], grid, 8),
+        lambda: ft.factor_critical_exponent(two_factor_rep, 0, grid, 8),
+        lambda: ft.growth_indicator_ladder(two_factor_rep, v, [1.0], grid, 8, "cartan-tube"),
+        lambda: cn.CountSeries(grid, (0, 0, 0), cn.KIND_CARTAN, "r", 8, 1.0, 1.0, True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def test_sector_edges_one_rule_before_any_walk(complex_pair, monkeypatch):
+    # an end within 1e-12 of 0 or pi is inside, for census_box and for the
+    # histograms it builds alike; a bad edge is refused before any walk
+    grid = np.arange(2.0, 10.0)
+    series, hists = cn.census_box(complex_pair, [1.0], [0.8], grid, 6, sectors=[1e-12, 1.0, math.pi])
+    assert sum(series.counts) > 0
+    assert [sum(h.counts) for h in hists[0]] == list(series.counts)
+    monkeypatch.setattr(cn, "_walk", _no_walk)
+    bad = [[0.0, math.nan, math.pi], [math.nan, math.pi], [0.0, math.inf, math.pi], [2e-12, math.pi], [0.0]]
+    for edges in bad:
+        with pytest.raises(ValueError, match="sector edges"):
+            cn.census_box(complex_pair, [1.0], [0.8], grid, 6, sectors=edges)
+        with pytest.raises(ValueError, match="sector edges"):
+            cn.HolonomyHistogram(tuple(edges), (0,) * (len(edges) - 1), 0, 2.0)
+
+
 def _per_grid_holonomy_bins(lo, hi, holos, grid, edges, complex_factors, d):
     """The holonomy bins by brute force: one mask and one bincount per grid
     point and complex factor."""

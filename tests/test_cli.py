@@ -266,6 +266,19 @@ def test_ratio_cli(tmp_path):
     assert rows[0] == "slope,intercept,r_squared,t_lo,t_hi,n_points"
 
 
+def test_ratio_window_past_the_horizon_is_untrusted(tmp_path):
+    # at L_max 10 the Cartan t_trust is 31.18: [20, 45] would fit rows that
+    # cartan_series.csv flags trusted=0, which fit_growth refuses too
+    path = Path(__file__).resolve().parents[1] / "configs" / "ratio_tube.json"
+    doc = dict(json.loads(path.read_text()), L_max=10, window=[20, 45])
+    cfg = write_config(tmp_path, "ratio.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["ratio", "--config", str(cfg), "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())
+    assert record["code"] == "fitting.UntrustedWindow", record
+    assert not (out / "MANIFEST.json").exists()
+
+
 def test_report_cli(tmp_path):
     cfg = write_config(tmp_path, "rep.json", {"representation": TWO_FACTOR, "L_max": 5})
     out = tmp_path / "out"

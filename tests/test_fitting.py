@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -125,6 +126,11 @@ def test_ratio_errors():
     with pytest.raises(ft.DivisionByZeroCount):
         ft.jordan_cartan_ratio(synthetic_series(1.0, 0.0, t_lo=8.0, t_hi=11.0, step=1.0), zeros,
                                window=(8.0, 11.0))
+    # the window must end within the smaller horizon, as fit_growth's does
+    with pytest.raises(ft.UntrustedWindow):
+        ft.jordan_cartan_ratio(series, series, window=(8.0, 16.5))
+    with pytest.raises(ft.UntrustedWindow):
+        ft.jordan_cartan_ratio(series, dataclasses.replace(series, t_trust=12.0), window=(8.0, 16.0))
 
 
 def test_ladder_rank_one_epsilon_independent(real_pair):
@@ -157,6 +163,9 @@ def test_ladder_validates_arguments(real_pair):
         ft.growth_indicator_ladder(real_pair, (1.0,), [2.0, 1.6], grid, 6, "jordan-cone")
     with pytest.raises(ValueError, match="epsilons"):
         ft.growth_indicator_ladder(real_pair, (1.0,), [0.5, -1.0], grid, 6, "cartan-tube")
+    for eps in ([1.6, math.nan], [math.nan, 1.0]):  # once read as off the spectrum cone
+        with pytest.raises(ValueError, match="epsilons"):
+            ft.growth_indicator_ladder(real_pair, (1.0,), eps, grid, 6, "jordan-tube")
 
 
 def test_factor_exponent_combinatorial_oracle():

@@ -139,6 +139,20 @@ def test_spec_validation():
         rg.ConeSpec(unit2(1, 1), 2.0)  # half-angle past pi/2
     with pytest.raises(ValueError):
         rg.BoxWindow((1.0, -1.0), (1.0, 1.0), 1.0)
+    # NaN fails every comparison, so each rule is checked in positive form
+    with pytest.raises(ValueError):
+        rg.TubeSpec(unit2(1, 1), math.nan)
+    with pytest.raises(ValueError):
+        rg.TubeSpec((math.nan, 1.0), 0.5)
+    with pytest.raises(ValueError):
+        rg.BoxWindow((1.0, 1.0), (1.0, 1.0), math.nan)
+    for v, w in [((math.nan, 1.0), (1.0, 1.0)), ((0.6, 0.8), (1.0, math.nan)), ((0.6, 0.8), (math.inf, 1.0))]:
+        with pytest.raises(ValueError):
+            rg.BoxWindow(v, w, 1.0)
+        with pytest.raises(ValueError):
+            rg.BoxWindowFamily(v, w)
+        with pytest.raises(ValueError):
+            rg.box_as_tube_difference(v, w, 1.0)
     with pytest.raises(ValueError):
         rg.unit([0.0, 0.0])
 
